@@ -22,11 +22,9 @@ Status CopyFile(const std::string& from, const std::string& to) {
 Result<CheckpointMeta> CreateArchive(const DbFiles& db_files,
                                      const std::string& archive_dir) {
   CWDB_RETURN_IF_ERROR(MakeDirs(archive_dir));
-  std::string anchor;
-  CWDB_RETURN_IF_ERROR(ReadFileToString(db_files.Anchor(), &anchor));
-  int which = anchor == "A" ? 0 : anchor == "B" ? 1 : -1;
-  if (which < 0) return Status::Corruption("bad checkpoint anchor");
-
+  CWDB_ASSIGN_OR_RETURN(ActiveCheckpoint active,
+                        ReadActiveCheckpoint(db_files));
+  const int which = active.which;
   CWDB_RETURN_IF_ERROR(
       CopyFile(db_files.CkptImage(which), archive_dir + kArchiveImage));
   CWDB_RETURN_IF_ERROR(
@@ -37,23 +35,7 @@ Result<CheckpointMeta> CreateArchive(const DbFiles& db_files,
     CWDB_RETURN_IF_ERROR(
         CopyFile(db_files.AuditMeta(), archive_dir + kArchiveAudit));
   }
-  // Re-read the archived meta through a throwaway DbFiles view is not
-  // possible (names differ), so parse nothing here: the caller can read
-  // CK_end from the database. For convenience, decode the copied meta by
-  // writing it under a temp DbFiles-compatible name... simpler: read the
-  // live meta again via its own path using the image-independent part.
-  // The meta file format is validated on restore; here we only report the
-  // ck_end by scanning the copy for the caller.
-  std::string meta_contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(archive_dir + kArchiveMeta, &meta_contents));
-  CheckpointMeta meta;
-  // Layout: magic(8) ck_end(8) ... (see Checkpointer::WriteMeta).
-  if (meta_contents.size() < 16) {
-    return Status::Corruption("archived meta too small");
-  }
-  std::memcpy(&meta.ck_end, meta_contents.data() + 8, 8);
-  return meta;
+  return std::move(active.meta);
 }
 
 Status RestoreArchive(const std::string& archive_dir,

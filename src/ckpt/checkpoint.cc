@@ -31,7 +31,7 @@ Checkpointer::Checkpointer(const DbFiles& files, DbImage* image,
       txns_(txns),
       log_(log),
       protection_(protection),
-      metrics_(FallbackRegistry(metrics, &own_metrics_)) {
+      metrics_(metrics) {
   ins_.checkpoints = metrics_->counter("ckpt.checkpoints");
   ins_.pages_written = metrics_->counter("ckpt.pages_written");
   ins_.latency_ns = metrics_->histogram("ckpt.latency_ns");
@@ -217,13 +217,24 @@ Status Checkpointer::WriteMeta(int which, const CheckpointMeta& meta) {
   return WriteFileAtomic(files_.CkptMeta(which), out, "ckpt.meta");
 }
 
-Result<CheckpointMeta> Checkpointer::ReadMeta(int which) const {
+Result<int> ReadCheckpointAnchor(const DbFiles& files) {
   std::string contents;
-  CWDB_RETURN_IF_ERROR(ReadFileToString(files_.CkptMeta(which), &contents));
+  CWDB_RETURN_IF_ERROR(ReadFileToString(files.Anchor(), &contents));
+  if (contents == "A") return 0;
+  if (contents == "B") return 1;
+  return Status::Corruption("bad checkpoint anchor: " + contents);
+}
+
+Result<ActiveCheckpoint> ReadActiveCheckpoint(const DbFiles& files) {
+  ActiveCheckpoint active;
+  CWDB_ASSIGN_OR_RETURN(active.which, ReadCheckpointAnchor(files));
+  std::string contents;
+  CWDB_RETURN_IF_ERROR(
+      ReadFileToString(files.CkptMeta(active.which), &contents));
   if (contents.size() < 4) {
     return Status::Corruption("checkpoint meta too short");
   }
-  std::string body = contents.substr(0, contents.size() - 4);
+  const Slice body(contents.data(), contents.size() - 4);
   uint32_t crc = DecodeFixed32(contents.data() + contents.size() - 4);
   if (Crc32c(body.data(), body.size()) != crc) {
     return Status::Corruption("checkpoint meta CRC mismatch");
@@ -232,39 +243,21 @@ Result<CheckpointMeta> Checkpointer::ReadMeta(int which) const {
   if (dec.GetFixed64() != kMetaMagic) {
     return Status::Corruption("checkpoint meta bad magic");
   }
-  CheckpointMeta meta;
+  CheckpointMeta& meta = active.meta;
   meta.ck_end = dec.GetFixed64();
-  uint64_t arena_size = dec.GetFixed64();
-  uint32_t page_size = dec.GetFixed32();
-  if (arena_size != image_->size() || page_size != image_->page_size()) {
-    return Status::Corruption("checkpoint geometry mismatch");
-  }
+  meta.arena_size = dec.GetFixed64();
+  meta.page_size = dec.GetFixed32();
   Slice att = dec.GetLengthPrefixed();
   meta.att_blob.assign(att.data(), att.size());
   if (!dec.ok()) return Status::Corruption("checkpoint meta truncated");
-  return meta;
+  return active;
 }
 
-Result<int> Checkpointer::ReadAnchor() const {
-  std::string contents;
-  Status s = ReadFileToString(files_.Anchor(), &contents);
-  if (!s.ok()) return s;
-  if (contents == "A") return 0;
-  if (contents == "B") return 1;
-  return Status::Corruption("bad checkpoint anchor: " + contents);
-}
-
-Result<CheckpointMeta> Checkpointer::ReadActiveMeta() const {
-  CWDB_ASSIGN_OR_RETURN(int which, ReadAnchor());
-  return ReadMeta(which);
-}
-
-Status Checkpointer::ReadImageBytes(DbPtr off, uint64_t len,
-                                    void* out) const {
-  CWDB_ASSIGN_OR_RETURN(int which, ReadAnchor());
-  int fd = ::open(files_.CkptImage(which).c_str(), O_RDONLY);
+Status ReadCheckpointBytes(const DbFiles& files, int which, uint64_t off,
+                           uint64_t len, void* out) {
+  int fd = ::open(files.CkptImage(which).c_str(), O_RDONLY);
   if (fd < 0) {
-    return Status::IoError("open " + files_.CkptImage(which) + ": " +
+    return Status::IoError("open " + files.CkptImage(which) + ": " +
                            std::strerror(errno));
   }
   Status s = PReadAll(fd, out, len, off);
@@ -272,56 +265,95 @@ Status Checkpointer::ReadImageBytes(DbPtr off, uint64_t len,
   return s;
 }
 
-Result<CheckpointMeta> Checkpointer::LoadActive() {
-  CWDB_ASSIGN_OR_RETURN(int which, ReadAnchor());
-  CWDB_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadMeta(which));
-  int fd = ::open(files_.CkptImage(which).c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("open " + files_.CkptImage(which) + ": " +
-                           std::strerror(errno));
+Result<std::unique_ptr<DbImage>> LoadCheckpointImage(const DbFiles& files,
+                                                     ActiveCheckpoint* active) {
+  CWDB_ASSIGN_OR_RETURN(*active, ReadActiveCheckpoint(files));
+  CWDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<DbImage> image,
+      DbImage::Create(active->meta.arena_size, active->meta.page_size));
+  CWDB_RETURN_IF_ERROR(ReadCheckpointBytes(files, active->which, 0,
+                                           image->size(), image->base()));
+  CWDB_RETURN_IF_ERROR(image->ValidateHeader());
+  return image;
+}
+
+SidecarCheck CheckCheckpointSidecar(const DbFiles& files,
+                                    const ActiveCheckpoint& active,
+                                    const DbImage& image) {
+  SidecarCheck check;
+  std::string blob;
+  check.error = ReadFileToString(files.CkptParity(active.which), &blob,
+                                 MissingFile::kTreatAsEmpty);
+  if (check.error.ok() && blob.empty()) return check;  // kMissing.
+  if (check.error.ok()) {
+    Result<ParitySidecar> decoded = DecodeParitySidecar(blob);
+    check.error = decoded.status();
+    if (decoded.ok()) check.sidecar = std::move(decoded.value());
   }
-  Status s = PReadAll(fd, image_->base(), image_->size(), 0);
-  ::close(fd);
-  CWDB_RETURN_IF_ERROR(s);
+  if (!check.error.ok()) {
+    check.state = SidecarState::kUndecodable;
+    return check;
+  }
+  if (check.sidecar.ck_end != active.meta.ck_end ||
+      check.sidecar.arena_size != image.size()) {
+    // A crash between the image write and the sidecar replace leaves the
+    // previous checkpoint's sidecar behind; its CK_end gives it away.
+    check.state = SidecarState::kStale;
+    return check;
+  }
+  check.state = SidecarState::kVerified;
+  check.detected = VerifyImageAgainstSidecar(check.sidecar, image.base(),
+                                             &check.regions_verified);
+  return check;
+}
+
+Result<ActiveCheckpoint> Checkpointer::ReadActive() const {
+  CWDB_ASSIGN_OR_RETURN(ActiveCheckpoint active, ReadActiveCheckpoint(files_));
+  if (active.meta.arena_size != image_->size() ||
+      active.meta.page_size != image_->page_size()) {
+    return Status::Corruption("checkpoint geometry mismatch");
+  }
+  return active;
+}
+
+Result<CheckpointMeta> Checkpointer::LoadActive() {
+  CWDB_ASSIGN_OR_RETURN(ActiveCheckpoint active, ReadActive());
+  CWDB_RETURN_IF_ERROR(ReadCheckpointBytes(files_, active.which, 0,
+                                           image_->size(), image_->base()));
   CWDB_RETURN_IF_ERROR(image_->ValidateHeader());
   // The old DESIGN §8 hole: certification audited the in-memory image, not
   // the bytes that landed on disk, so a flip during the image write was
   // loaded silently. Verify the loaded bytes against the checkpoint's
   // parity sidecar and repair in place what the budget covers.
-  CWDB_RETURN_IF_ERROR(VerifyLoadedImage(which, meta));
+  CWDB_RETURN_IF_ERROR(RepairLoadedImage(
+      active, CheckCheckpointSidecar(files_, active, *image_)));
   // Everything is dirty relative to both images until proven otherwise —
   // after a crash the volatile dirty sets are gone, so the next checkpoint
   // to each image must be full. (This also carries any load-time repair
   // into the next certified checkpoint.)
   image_->MarkAllDirty();
-  return meta;
+  return std::move(active.meta);
 }
 
-Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta) {
-  std::string blob;
-  Status read = ReadFileToString(files_.CkptParity(which), &blob,
-                                 MissingFile::kTreatAsEmpty);
-  if (!read.ok() || blob.empty()) return Status::OK();  // No sidecar.
-  Result<ParitySidecar> decoded = DecodeParitySidecar(blob);
-  if (!decoded.ok()) {
-    // Torn or damaged sidecar: no verification possible, never a failure.
-    metrics_->counter("repair.sidecar_invalid")->Add();
-    return Status::OK();
+Status Checkpointer::RepairLoadedImage(const ActiveCheckpoint& active,
+                                       const SidecarCheck& check) {
+  switch (check.state) {
+    case SidecarState::kMissing:
+      return Status::OK();
+    case SidecarState::kUndecodable:
+      metrics_->counter("repair.sidecar_invalid")->Add();
+      return Status::OK();
+    case SidecarState::kStale:
+      metrics_->counter("repair.sidecar_stale")->Add();
+      return Status::OK();
+    case SidecarState::kVerified:
+      break;
   }
-  const ParitySidecar& sidecar = decoded.value();
-  if (sidecar.ck_end != meta.ck_end || sidecar.arena_size != image_->size()) {
-    // A crash between the image write and the sidecar replace leaves the
-    // previous checkpoint's sidecar behind; its CK_end gives it away.
-    metrics_->counter("repair.sidecar_stale")->Add();
-    return Status::OK();
-  }
+  metrics_->counter("repair.load_verified_regions")
+      ->Add(check.regions_verified);
+  if (check.detected.empty()) return Status::OK();
 
-  uint64_t regions_verified = 0;
-  std::vector<CorruptRange> detected =
-      VerifyImageAgainstSidecar(sidecar, image_->base(), &regions_verified);
-  metrics_->counter("repair.load_verified_regions")->Add(regions_verified);
-  if (detected.empty()) return Status::OK();
-
+  const Lsn ck_end = active.meta.ck_end;
   ForensicsRecorder* forensics = protection_->forensics();
   // Detection dossier before the repair touches anything: its hexdump is
   // the only durable record of the corrupt bytes. (The codeword probe may
@@ -334,20 +366,19 @@ Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta) {
     std::snprintf(detail, sizeof(detail),
                   "checkpoint image %c failed parity-sidecar verification at "
                   "load; attempting repair",
-                  which == 0 ? 'A' : 'B');
+                  active.which == 0 ? 'A' : 'B');
     detection_id = forensics->RecordIncident(
-        IncidentSource::kCkptLoad, meta.ck_end, /*last_clean_audit_lsn=*/0,
-        detected, detail);
+        IncidentSource::kCkptLoad, ck_end, /*last_clean_audit_lsn=*/0,
+        check.detected, detail);
   }
 
   ImageRepairReport report;
-  RepairImageWithSidecar(sidecar, image_->base(), detected, /*apply=*/true,
-                         &report);
+  RepairImageWithSidecar(check.sidecar, image_->base(), check.detected,
+                         /*apply=*/true, &report);
   metrics_->counter("repair.load_repaired")->Add(report.repaired.size());
   metrics_->counter("repair.load_unrepaired")->Add(report.unrepaired.size());
   for (const CorruptRange& r : report.repaired) {
-    metrics_->trace().Record(TraceEventType::kRepair, meta.ck_end, r.off,
-                             r.len);
+    metrics_->trace().Record(TraceEventType::kRepair, ck_end, r.off, r.len);
   }
   if (!report.repaired.empty() && forensics != nullptr) {
     char detail[160];
@@ -358,7 +389,7 @@ Status Checkpointer::VerifyLoadedImage(int which, const CheckpointMeta& meta) {
     ForensicsRecorder::IncidentExtras extras;
     extras.linked_incident_id = detection_id;
     extras.repair_deltas = report.repair_deltas;
-    forensics->RecordIncident(IncidentSource::kRepair, meta.ck_end,
+    forensics->RecordIncident(IncidentSource::kRepair, ck_end,
                               /*last_clean_audit_lsn=*/0, report.repaired,
                               detail, extras);
   }

@@ -2,11 +2,13 @@
 #define CWDB_CKPT_CHECKPOINT_H_
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "protect/parity_repair.h"
 #include "protect/protection.h"
 #include "storage/db_image.h"
 #include "txn/txn_manager.h"
@@ -74,8 +76,56 @@ struct CheckpointMeta {
   /// the image, and no partial physical update is (paper §4.3 requires an
   /// update-consistent checkpoint for delete-transaction recovery).
   Lsn ck_end = 0;
+  uint64_t arena_size = 0;  ///< Geometry of the image the meta describes.
+  uint32_t page_size = 0;
   std::string att_blob;  ///< Checkpointed ATT with local undo logs.
 };
+
+/// The checkpoint the anchor names, with its metadata.
+struct ActiveCheckpoint {
+  int which = 0;  ///< 0 = Ckpt_A, 1 = Ckpt_B.
+  CheckpointMeta meta;
+};
+
+// Cold reads of the checkpoint files. The engine's load path and
+// `cwdb_ctl` both go through these, so the anchor, the meta and the image
+// header are parsed in one place.
+
+/// Reads the anchor; returns 0 (A) or 1 (B), or NotFound if none.
+Result<int> ReadCheckpointAnchor(const DbFiles& files);
+
+/// Reads the anchor and the CRC-checked metadata of the image it names.
+Result<ActiveCheckpoint> ReadActiveCheckpoint(const DbFiles& files);
+
+/// Reads bytes [off, off+len) of checkpoint image `which` into *out.
+Status ReadCheckpointBytes(const DbFiles& files, int which, uint64_t off,
+                           uint64_t len, void* out);
+
+/// Reads the active checkpoint into a new arena sized by its metadata.
+Result<std::unique_ptr<DbImage>> LoadCheckpointImage(const DbFiles& files,
+                                                     ActiveCheckpoint* active);
+
+/// What a checkpoint image's parity sidecar says about the loaded bytes.
+enum class SidecarState {
+  kMissing,      ///< No sidecar: a scheme without a parity tier.
+  kUndecodable,  ///< Unreadable, torn or damaged: no verification possible.
+  kStale,        ///< Left by an earlier checkpoint (CK_end or size differ).
+  kVerified,     ///< Checked the image; `detected` lists failing regions.
+};
+
+struct SidecarCheck {
+  SidecarState state = SidecarState::kMissing;
+  Status error;           ///< Why the sidecar is kUndecodable.
+  ParitySidecar sidecar;  ///< The decoded sidecar (kStale, kVerified).
+  uint64_t regions_verified = 0;
+  std::vector<CorruptRange> detected;
+};
+
+/// Classifies the active checkpoint's parity sidecar and, when it belongs
+/// to that checkpoint, verifies the loaded `image` bytes against it.
+SidecarCheck CheckCheckpointSidecar(const DbFiles& files,
+                                    const ActiveCheckpoint& active,
+                                    const DbImage& image);
 
 /// Ping-pong checkpointer (paper §2.1): dirty pages are written alternately
 /// to two checkpoint images Ckpt_A / Ckpt_B; the anchor file cur_ckpt names
@@ -91,7 +141,7 @@ class Checkpointer {
  public:
   Checkpointer(const DbFiles& files, DbImage* image, TxnManager* txns,
                SystemLog* log, ProtectionManager* protection,
-               MetricsRegistry* metrics = nullptr);
+               MetricsRegistry* metrics);
 
   /// For a fresh database: writes a full checkpoint to image A and points
   /// the anchor at it.
@@ -105,19 +155,15 @@ class Checkpointer {
   Status Checkpoint(bool certify, std::vector<CorruptRange>* corrupt);
 
   /// Reads the anchor; returns 0 (A) or 1 (B), or NotFound if none.
-  Result<int> ReadAnchor() const;
+  Result<int> ReadAnchor() const { return ReadCheckpointAnchor(files_); }
 
   /// Loads the active checkpoint image into the live arena and returns its
   /// metadata. Used by restart recovery.
   Result<CheckpointMeta> LoadActive();
 
-  /// Reads only the metadata of the active checkpoint (cache recovery).
-  Result<CheckpointMeta> ReadActiveMeta() const;
-
-  /// Reads bytes [off, off+len) of the active checkpoint image into *out
-  /// without touching the live arena (cache recovery repairs regions from
-  /// the certified-clean disk image).
-  Status ReadImageBytes(DbPtr off, uint64_t len, void* out) const;
+  /// The active checkpoint, refused unless its geometry is the arena's
+  /// (cache recovery repairs regions from its certified-clean image).
+  Result<ActiveCheckpoint> ReadActive() const;
 
   uint64_t checkpoints_taken() const { return ins_.checkpoints->Value(); }
   uint64_t pages_written_last() const { return pages_written_last_; }
@@ -140,14 +186,14 @@ class Checkpointer {
                       std::vector<CorruptRange>* corrupt,
                       const SpanContext& trace);
   Status WriteMeta(int which, const CheckpointMeta& meta);
-  Result<CheckpointMeta> ReadMeta(int which) const;
-  /// Closes the DESIGN §8 hole: verifies the freshly-loaded arena bytes
-  /// against image `which`'s parity sidecar, repairs what the correction
-  /// budget covers (filing a linked detection + kRepair dossier pair), and
-  /// fails loudly (Corruption) only when damage exceeds the budget. A
-  /// missing, torn or stale sidecar means "no verification possible" and
+  /// Closes the DESIGN §8 hole: acts on the sidecar check of the freshly
+  /// loaded arena bytes — repairs what the correction budget covers (filing
+  /// a linked detection + kRepair dossier pair) and fails loudly
+  /// (Corruption) only when damage exceeds the budget. A missing,
+  /// undecodable or stale sidecar means "no verification possible" and
   /// returns OK.
-  Status VerifyLoadedImage(int which, const CheckpointMeta& meta);
+  Status RepairLoadedImage(const ActiveCheckpoint& active,
+                           const SidecarCheck& check);
 
   struct Instruments {
     Counter* checkpoints;
@@ -160,7 +206,6 @@ class Checkpointer {
   TxnManager* txns_;
   SystemLog* log_;
   ProtectionManager* protection_;
-  std::unique_ptr<MetricsRegistry> own_metrics_;
   MetricsRegistry* metrics_;
   Instruments ins_;
   uint64_t pages_written_last_ = 0;

@@ -209,7 +209,7 @@ Status Database::OpenImpl() {
   // as a torn append) is a detection in its own right: file the dossier
   // before recovery truncates and moves on.
   const WalTailScan& tail = log_->tail_scan();
-  if (tail.damaged) {
+  if (tail.damaged()) {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
                   "WAL tail failed CRC at byte %" PRIu64 " of %" PRIu64

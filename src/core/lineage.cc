@@ -9,7 +9,7 @@ namespace cwdb {
 Result<std::unique_ptr<LogReader>> LineageTracer::OpenReader(Lsn since) {
   CWDB_RETURN_IF_ERROR(db_->log()->Flush());
   DbFiles files(db_->options().path);
-  return LogReader::Open(files.SystemLog(), since, kInvalidLsn);
+  return LogReader::Open(files.SystemLog(), since);
 }
 
 Result<std::vector<LineageTracer::Access>> LineageTracer::Readers(
@@ -28,6 +28,7 @@ Result<std::vector<LineageTracer::Access>> LineageTracer::Readers(
       out.push_back(Access{rec.txn, lsn, rec.off, rec.len, false});
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   return out;
 }
 
@@ -43,6 +44,7 @@ Result<std::vector<LineageTracer::Access>> LineageTracer::Writers(
       out.push_back(Access{rec.txn, lsn, rec.off, rec.len, true});
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   return out;
 }
 
@@ -114,6 +116,7 @@ Result<LineageTracer::Taint> LineageTracer::TaintClosure(
         break;
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   // Transactions still in flight at the end of the log: report them as
   // affected if tainted (their fate is undecided), but do not propagate
   // their writes (not yet visible).

@@ -18,9 +18,7 @@
 #include "core/database.h"
 #include "core/lineage.h"
 #include "faultinject/fault_injector.h"
-#include "blob/blob_store.h"
 #include "index/hash_index.h"
-#include "index/ordered_index.h"
 #include "workload/tpcb.h"
 
 #endif  // CWDB_CWDB_H_

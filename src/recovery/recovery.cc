@@ -137,11 +137,6 @@ RecoveryDriver::ConflictSet RecoveryDriver::TargetsOfUndoLog(
   return cs;
 }
 
-bool RecoveryDriver::Conflicts(const ConflictSet& a, const ConflictSet& b) {
-  CorruptRange witness;
-  return ConflictWitness(a, b, &witness);
-}
-
 bool RecoveryDriver::ConflictWitness(const ConflictSet& a,
                                      const ConflictSet& b,
                                      CorruptRange* witness) {
@@ -316,12 +311,18 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
   std::map<TxnId, size_t> open_op_marks;
 
   enter_phase(RecoveryPhase::kRedo, meta.ck_end);
-  CWDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<LogReader> reader,
-      LogReader::Open(files_.SystemLog(), meta.ck_end, options.redo_limit));
+  // One reader serves the redo scan and, in the prior-state model, the
+  // discard pass that continues from the first record at the limit.
+  CWDB_ASSIGN_OR_RETURN(std::unique_ptr<LogReader> reader,
+                        LogReader::Open(files_.SystemLog(), meta.ck_end));
   LogRecord rec;
   Lsn lsn;
+  bool past_limit = false;
   while (reader->Next(&rec, &lsn)) {
+    if (lsn >= options.redo_limit) {
+      past_limit = true;
+      break;
+    }
     if (options.corruption_recovery && !note_ranges_added &&
         lsn >= audit_lsn) {
       add_note_ranges();
@@ -435,19 +436,15 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
         break;
     }
   }
-  report.redo_end = reader->position();
+  report.redo_end = past_limit ? lsn : reader->position();
 
   // Prior-state model: every transaction that committed at or beyond the
   // limit is removed from history — report it so the user can compensate
   // (§4.1; the paper notes this covers "all transactions which have
   // occurred after the corruption, rather than just the ones determined
   // to be possibly affected").
-  if (options.redo_limit != kInvalidLsn) {
-    CWDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<LogReader> discarded,
-        LogReader::Open(files_.SystemLog(), options.redo_limit,
-                        kInvalidLsn));
-    while (discarded->Next(&rec, &lsn)) {
+  if (past_limit) {
+    do {
       max_txn = std::max(max_txn, rec.txn);
       if (rec.type == LogRecordType::kCommitTxn) {
         report.deleted_txns.push_back(rec.txn);
@@ -459,8 +456,9 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
           report.provenance.edges.push_back(e);
         }
       }
-    }
+    } while (reader->Next(&rec, &lsn));
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   txns_->BumpIds(max_txn, max_op);
 
   // --- Undo phase: roll back incomplete transactions level by level. The
@@ -577,23 +575,22 @@ Status CacheRecoverRegions(const DbFiles& files, DbImage* image,
   if (ranges.empty()) return Status::OK();
   CWDB_RETURN_IF_ERROR(log->Flush());
 
-  CWDB_ASSIGN_OR_RETURN(CheckpointMeta meta, checkpointer->ReadActiveMeta());
+  CWDB_ASSIGN_OR_RETURN(ActiveCheckpoint active, checkpointer->ReadActive());
 
   // Restore the corrupt regions from the certified-clean checkpoint image.
   for (const CorruptRange& r : ranges) {
     if (!image->InBounds(r.off, r.len)) {
       return Status::InvalidArgument("corrupt range out of bounds");
     }
-    CWDB_RETURN_IF_ERROR(
-        checkpointer->ReadImageBytes(r.off, r.len, image->At(r.off)));
+    CWDB_RETURN_IF_ERROR(ReadCheckpointBytes(files, active.which, r.off, r.len,
+                                             image->At(r.off)));
   }
 
   // Replay the intersection of every later physical redo with the corrupt
   // ranges (only the overlapping bytes: bytes outside the ranges are
   // already current in the live image).
-  CWDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<LogReader> reader,
-      LogReader::Open(files.SystemLog(), meta.ck_end, kInvalidLsn));
+  CWDB_ASSIGN_OR_RETURN(std::unique_ptr<LogReader> reader,
+                        LogReader::Open(files.SystemLog(), active.meta.ck_end));
   LogRecord rec;
   while (reader->Next(&rec, nullptr)) {
     if (rec.type != LogRecordType::kPhysRedo) continue;
@@ -604,6 +601,7 @@ Status CacheRecoverRegions(const DbFiles& files, DbImage* image,
       std::memcpy(image->At(lo), rec.after.data() + (lo - rec.off), hi - lo);
     }
   }
+  CWDB_RETURN_IF_ERROR(reader->status());
   for (const CorruptRange& r : ranges) {
     image->MarkDirty(r.off, r.len);
   }

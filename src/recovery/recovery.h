@@ -105,9 +105,8 @@ class RecoveryDriver {
   ConflictSet TargetsOf(const LogRecord& rec) const;
   /// Conflict set of a corrupt transaction's current undo log.
   ConflictSet TargetsOfUndoLog(const Transaction& txn) const;
-  static bool Conflicts(const ConflictSet& a, const ConflictSet& b);
-  /// Conflicts() plus the overlapping byte range that witnesses the
-  /// conflict (zero-length when the conflict is target-based only).
+  /// True if the two sets conflict; *witness receives the overlapping byte
+  /// range (zero-length when the conflict is target-based only).
   static bool ConflictWitness(const ConflictSet& a, const ConflictSet& b,
                               CorruptRange* witness);
 

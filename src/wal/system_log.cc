@@ -43,8 +43,8 @@ constexpr size_t kQueueCapacity = 1024;
 /// block allocation and i_size change — measured at 2x the cost of the
 /// pure data writeback that suffices once the blocks exist, and with far
 /// heavier tails. Preallocating in big strides keeps the journal out of
-/// the commit path entirely; ScanTail classifies a zero tail as clean
-/// preallocation, so a crash anywhere in the scheme recovers as before.
+/// the commit path entirely; LogReader::ScanTail classifies a zero tail as
+/// clean preallocation, so a crash anywhere in the scheme recovers as before.
 constexpr uint64_t kPreallocChunkBytes = 1 << 20;
 
 /// Group-commit dally tuning: the hold ends when a quiet window passes
@@ -53,74 +53,9 @@ constexpr uint64_t kPreallocChunkBytes = 1 << 20;
 constexpr auto kDallyQuietWindow = std::chrono::microseconds(50);
 constexpr auto kDallyDeadline = std::chrono::microseconds(300);
 
-/// Length of the valid frame prefix of `contents`.
-uint64_t ValidPrefix(const std::string& contents) {
-  uint64_t pos = 0;
-  while (pos + kFrameHeaderBytes <= contents.size()) {
-    uint32_t len = DecodeFixed32(contents.data() + pos);
-    uint32_t crc = DecodeFixed32(contents.data() + pos + 4);
-    // A zero header is preallocated file space, never a frame: appends are
-    // always non-empty (enforced at staging), and Crc32c of nothing is 0,
-    // so without this check eight zero bytes would verify as a valid empty
-    // frame and the scan would walk the whole preallocated tail.
-    if (len == 0 && crc == 0) break;
-    if (pos + kFrameHeaderBytes + len > contents.size()) break;
-    if (Crc32c(contents.data() + pos + kFrameHeaderBytes, len) != crc) break;
-    pos += kFrameHeaderBytes + len;
-  }
-  return pos;
-}
-
-/// Classifies the invalid suffix (if any): torn append vs in-place damage.
-/// A torn tail is an *incomplete* final frame with nothing valid after it —
-/// the only shape a crashed append can leave, since nothing beyond the torn
-/// write was ever issued. Anything else (a complete frame failing its CRC,
-/// or a later frame that still verifies) means stable bytes were altered
-/// after they were made durable.
-WalTailScan ScanTail(const std::string& contents) {
-  WalTailScan scan;
-  scan.file_bytes = contents.size();
-  scan.valid_bytes = ValidPrefix(contents);
-  if (scan.valid_bytes >= contents.size()) return scan;
-  const uint64_t bad = scan.valid_bytes;
-  bool zero_header = false;
-  if (bad + kFrameHeaderBytes <= contents.size()) {
-    uint32_t len = DecodeFixed32(contents.data() + bad);
-    uint32_t crc = DecodeFixed32(contents.data() + bad + 4);
-    zero_header = len == 0 && crc == 0;
-    if (!zero_header && bad + kFrameHeaderBytes + len <= contents.size()) {
-      scan.damaged = true;  // Complete frame, bad CRC: payload damage.
-      scan.damage_off = bad;
-      return scan;
-    }
-  }
-  // A zero header is normally clean preallocated space; still resync-scan
-  // below, because a valid frame *after* the zeros would mean stable bytes
-  // were wiped in place rather than never written.
-  // The frame header itself may hold the damaged bytes (a flipped length
-  // word looks torn). Resync-scan a bounded window for any later frame
-  // that still verifies; finding one proves the log continued past the
-  // "tear". Bounded: 1 MiB of candidate offsets, 1024 CRC evaluations.
-  const uint64_t window_end =
-      std::min<uint64_t>(contents.size(), bad + (1ull << 20));
-  size_t crc_attempts = 0;
-  for (uint64_t off = bad + 1;
-       off + kFrameHeaderBytes <= window_end && crc_attempts < 1024; ++off) {
-    uint32_t len = DecodeFixed32(contents.data() + off);
-    uint32_t crc = DecodeFixed32(contents.data() + off + 4);
-    if (len == 0 || len > contents.size() ||
-        off + kFrameHeaderBytes + len > contents.size()) {
-      continue;
-    }
-    ++crc_attempts;
-    if (Crc32c(contents.data() + off + kFrameHeaderBytes, len) == crc) {
-      scan.damaged = true;
-      scan.damage_off = bad;
-      return scan;
-    }
-  }
-  return scan;
-}
+/// LogReader reads the file in chunks of this size (a frame longer than
+/// a chunk is read whole).
+constexpr uint64_t kReadChunkBytes = 1 << 20;
 
 }  // namespace
 
@@ -169,17 +104,20 @@ Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
                                                    MetricsRegistry* metrics,
                                                    size_t shards,
                                                    FlightRecorder* recorder) {
-  std::string contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(path, &contents, MissingFile::kTreatAsEmpty));
-  WalTailScan scan = ScanTail(contents);
+  WalTailScan scan;
+  {
+    CWDB_ASSIGN_OR_RETURN(std::unique_ptr<LogReader> reader,
+                          LogReader::Open(path));
+    scan = reader->ScanTail();
+    CWDB_RETURN_IF_ERROR(reader->status());
+  }
   const uint64_t stable = scan.valid_bytes;
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
   // Physically drop any torn tail so appends continue from the valid prefix.
-  if (stable < contents.size()) {
+  if (stable < scan.file_bytes) {
     if (::ftruncate(fd, static_cast<off_t>(stable)) != 0) {
       Status s =
           Status::IoError("ftruncate " + path + ": " + std::strerror(errno));
@@ -196,7 +134,7 @@ Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
     recorder->NoteDurableLsn(stable, stable);
   }
   log->tail_scan_ = scan;
-  if (scan.damaged) {
+  if (scan.damaged()) {
     // The caller (Database recovery) files the incident dossier; the
     // counter and trace entry are recorded here so standalone opens (tools,
     // tests) still leave evidence.
@@ -397,7 +335,7 @@ void SystemLog::DrainerLoop() {
     // Coalesce the contiguous prefix at write_pos_ into one write chunk.
     // Writing only the contiguous prefix keeps the on-disk file a valid
     // frame prefix plus at most one torn frame at every instant — the
-    // shape ScanTail's torn-vs-damaged classification relies on.
+    // shape LogReader::ScanTail's torn-vs-damaged classification relies on.
     std::string chunk;
     auto end_it = pending_.begin();
     const uint64_t base = write_pos_;
@@ -436,7 +374,7 @@ void SystemLog::DrainerLoop() {
       // fdatasync is the only one that pays the allocation's journal
       // commit; the rounds that follow sync pure data. A crash between
       // the extension and the sync leaves a zero tail (or a shorter
-      // file), both of which ScanTail reads as clean end of log.
+      // file), both of which LogReader::ScanTail reads as clean end of log.
       io = Preallocate(base + chunk.size() + kPreallocChunkBytes);
       wrote_ok = io.ok();
     }
@@ -543,34 +481,125 @@ void SystemLog::DiscardTail() {
 }
 
 Result<std::unique_ptr<LogReader>> LogReader::Open(const std::string& path,
-                                                   Lsn start, Lsn limit) {
-  std::string contents;
-  CWDB_RETURN_IF_ERROR(
-      ReadFileToString(path, &contents, MissingFile::kTreatAsEmpty));
+                                                   Lsn start) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0 && errno != ENOENT) {
+    return Status::IoError("open " + path + ": " + std::strerror(errno));
+  }
+  const off_t size = fd < 0 ? 0 : ::lseek(fd, 0, SEEK_END);
+  if (size < 0) {
+    Status s = Status::IoError("lseek " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
   return std::unique_ptr<LogReader>(
-      new LogReader(std::move(contents), start, limit));
+      new LogReader(fd, static_cast<uint64_t>(size), start));
+}
+
+LogReader::~LogReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool LogReader::Fetch(uint64_t off, uint64_t len, const char** out) {
+  if (!status_.ok() || off > size_ || len > size_ - off) return false;
+  if (off < buf_off_ || off + len > buf_off_ + buf_len_) {
+    const uint64_t n =
+        std::min(size_ - off, std::max<uint64_t>(len, kReadChunkBytes));
+    if (buf_.size() < n) buf_.resize(n);
+    status_ = PReadAll(fd_, buf_.data(), n, off);
+    buf_off_ = off;
+    buf_len_ = status_.ok() ? n : 0;
+    if (!status_.ok()) return false;
+  }
+  *out = buf_.data() + (off - buf_off_);
+  return true;
+}
+
+bool LogReader::NextFrame(Slice* payload, Lsn* lsn) {
+  const char* header;
+  if (!Fetch(pos_, kFrameHeaderBytes, &header)) return false;
+  const uint32_t len = DecodeFixed32(header);
+  const uint32_t crc = DecodeFixed32(header + 4);
+  // A zero header is preallocated file space, never a frame: appends are
+  // always non-empty (enforced at staging), and Crc32c of nothing is 0, so
+  // without this check eight zero bytes would verify as a valid empty frame
+  // and the walk would cross the whole preallocated tail.
+  if (len == 0 && crc == 0) return false;
+  const char* data;
+  if (!Fetch(pos_ + kFrameHeaderBytes, len, &data)) return false;
+  if (Crc32c(data, len) != crc) return false;  // Torn or damaged frame.
+  if (lsn != nullptr) *lsn = pos_;
+  *payload = Slice(data, len);
+  pos_ += kFrameHeaderBytes + len;
+  return true;
 }
 
 bool LogReader::Next(LogRecord* record, Lsn* lsn) {
-  while (true) {
-    if (limit_ != kInvalidLsn && pos_ >= limit_) return false;
-    if (pos_ + kFrameHeaderBytes > contents_.size()) return false;
-    uint32_t len = DecodeFixed32(contents_.data() + pos_);
-    uint32_t crc = DecodeFixed32(contents_.data() + pos_ + 4);
-    // Zero header: preallocated space past the last frame (see ValidPrefix).
-    if (len == 0 && crc == 0) return false;
-    if (pos_ + kFrameHeaderBytes + len > contents_.size()) return false;
-    const char* payload = contents_.data() + pos_ + kFrameHeaderBytes;
-    if (Crc32c(payload, len) != crc) return false;  // Torn/corrupt tail.
-    Lsn this_lsn = pos_;
-    pos_ += kFrameHeaderBytes + len;
-    if (!DecodeLogRecord(Slice(payload, len), record)) {
-      // Framed but undecodable: treat as end of log (defensive).
-      return false;
-    }
-    if (lsn != nullptr) *lsn = this_lsn;
-    return true;
+  Slice payload;
+  if (!NextFrame(&payload, lsn)) return false;
+  // Framed but undecodable: treat as end of log (defensive).
+  return DecodeLogRecord(payload, record);
+}
+
+WalTailScan LogReader::ScanTail() {
+  Slice payload;
+  while (NextFrame(&payload, nullptr)) {
   }
+  WalTailScan scan;
+  scan.file_bytes = size_;
+  scan.valid_bytes = pos_;
+  if (pos_ >= size_ || !status_.ok()) return scan;
+  // A torn tail is an *incomplete* final frame with nothing valid after it
+  // — the only shape a crashed append can leave, since nothing beyond the
+  // torn write was ever issued. Anything else (a complete frame failing its
+  // CRC, or a later frame that still verifies) means stable bytes were
+  // altered after they were made durable.
+  const uint64_t bad = pos_;
+  const char* p;
+  bool damaged = false;
+  if (Fetch(bad, kFrameHeaderBytes, &p)) {
+    // A complete frame (not a zero header) that failed its CRC.
+    const uint32_t len = DecodeFixed32(p);
+    damaged = (len != 0 || DecodeFixed32(p + 4) != 0) &&
+              bad + kFrameHeaderBytes + len <= size_;
+  }
+  // A zero header is normally clean preallocated space, and the frame
+  // header itself may hold the damaged bytes (a flipped length word looks
+  // torn). Either way, resync-scan a bounded window for a later frame that
+  // still verifies; finding one proves the log continued past the "tear"
+  // (or that stable bytes were wiped in place rather than never written).
+  const uint64_t window_end = std::min<uint64_t>(size_, bad + (1ull << 20));
+  size_t crc_attempts = 0;
+  for (uint64_t off = bad + 1; !damaged && crc_attempts < 1024 &&
+                               off + kFrameHeaderBytes <= window_end;
+       ++off) {
+    if (!Fetch(off, kFrameHeaderBytes, &p)) return scan;
+    const uint32_t len = DecodeFixed32(p);
+    const uint32_t crc = DecodeFixed32(p + 4);
+    if (len == 0 || off + kFrameHeaderBytes + len > size_) continue;
+    ++crc_attempts;
+    const char* data;
+    if (!Fetch(off + kFrameHeaderBytes, len, &data)) return scan;
+    damaged = Crc32c(data, len) == crc;
+  }
+  if (damaged) {
+    scan.tail = WalTail::kDamaged;
+    scan.damage_off = bad;
+    return scan;
+  }
+  // Not damaged: all zeros is the drainer's preallocation, anything else a
+  // torn append.
+  scan.tail = WalTail::kPreallocated;
+  for (uint64_t off = bad; off < size_;) {
+    const uint64_t n = std::min<uint64_t>(size_ - off, kReadChunkBytes);
+    if (!Fetch(off, n, &p)) return scan;
+    if (std::any_of(p, p + n, [](char c) { return c != '\0'; })) {
+      scan.tail = WalTail::kTorn;
+      break;
+    }
+    off += n;
+  }
+  return scan;
 }
 
 }  // namespace cwdb

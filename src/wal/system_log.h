@@ -34,18 +34,25 @@ struct WalTraceTag {
   Lsn end_lsn = 0;
 };
 
-/// What SystemLog::Open found past the valid frame prefix. A clean shutdown
-/// or an ordinary crash leaves `valid_bytes == file_bytes` or a *torn* tail
-/// (an incomplete final frame with nothing after it). `damaged` means the
-/// invalid bytes are not explainable as a torn append: either a complete
-/// frame failed its CRC, or valid frames exist beyond the bad region —
-/// i.e. stable log contents were corrupted in place (media/wild write),
-/// which costs committed transactions and deserves an incident dossier.
+/// What lies past the valid frame prefix of the stable log. A clean
+/// shutdown or an ordinary crash leaves nothing (kClean), the group-commit
+/// drainer's zero preallocation (kPreallocated), or a *torn* tail: an
+/// incomplete final frame with no valid frame after it (kTorn). kDamaged
+/// means the invalid bytes are not explainable as a torn append: either a
+/// complete frame failed its CRC, or a valid frame exists beyond the bad
+/// region — i.e. stable log contents were corrupted in place (media/wild
+/// write), which costs committed transactions and deserves an incident
+/// dossier.
+enum class WalTail : uint8_t { kClean, kPreallocated, kTorn, kDamaged };
+
+/// LogReader::ScanTail's verdict, kept by SystemLog::Open.
 struct WalTailScan {
   uint64_t valid_bytes = 0;  ///< End of the valid frame prefix.
   uint64_t file_bytes = 0;   ///< File size before truncation.
-  bool damaged = false;
+  WalTail tail = WalTail::kClean;
   uint64_t damage_off = 0;   ///< First bad frame offset when damaged.
+
+  bool damaged() const { return tail == WalTail::kDamaged; }
 };
 
 /// The system log (paper §2.1): in-memory append staging plus a stable log
@@ -244,30 +251,61 @@ class SystemLog {
   std::thread drainer_;
 };
 
-/// Sequential reader over the stable system log. Stops cleanly at the first
-/// torn or corrupt frame (end of log after a crash).
+/// The one reader of the stable system log: SystemLog::Open's tail scan,
+/// restart and delete-transaction recovery, lineage queries and `cwdb_ctl`
+/// all walk `system.log` frames through it. It preads the file in bounded
+/// chunks from `start` — never the whole log at once — and stops at the
+/// first frame that is incomplete, a zero (preallocated) header, or fails
+/// its CRC. ScanTail() then classifies what lies past that point.
 class LogReader {
  public:
-  /// Reads the stable log file at `path`, starting at LSN `start`. If
-  /// `limit` is not kInvalidLsn, records at or beyond it are not returned.
+  /// Opens the stable log file at `path` for reading from LSN `start`. A
+  /// missing file reads as an empty log. The file size is taken at open;
+  /// bytes appended later are not read.
   static Result<std::unique_ptr<LogReader>> Open(const std::string& path,
-                                                 Lsn start, Lsn limit);
+                                                 Lsn start = 0);
+  ~LogReader();
+  LogReader(const LogReader&) = delete;
+  LogReader& operator=(const LogReader&) = delete;
 
-  /// Returns the next record; false at end of log. `lsn` receives the
-  /// record's LSN.
+  /// Returns the next record; false at end of log, on a read error, or at
+  /// a framed but undecodable payload. `lsn` receives the record's LSN.
   bool Next(LogRecord* record, Lsn* lsn);
+
+  /// Walks the frames not read yet, then classifies the bytes past the
+  /// valid prefix (see WalTail). Bounded: at most 1 MiB of candidate
+  /// offsets and 1024 CRC evaluations look for a valid frame beyond a bad
+  /// one.
+  WalTailScan ScanTail();
 
   /// LSN one past the last valid frame read so far (after exhausting the
   /// reader: the end of the valid prefix).
   Lsn position() const { return pos_; }
 
- private:
-  LogReader(std::string contents, Lsn start, Lsn limit)
-      : contents_(std::move(contents)), pos_(start), limit_(limit) {}
+  /// The first read error, if any. A reader that stopped on an error has
+  /// not found the end of the log; callers must not treat it as one.
+  const Status& status() const { return status_; }
 
-  std::string contents_;
+ private:
+  LogReader(int fd, uint64_t size, Lsn start)
+      : fd_(fd), size_(size), pos_(start) {}
+
+  /// Returns the next CRC-valid frame's payload (valid until the next
+  /// call); false at the end of the valid prefix or on a read error.
+  bool NextFrame(Slice* payload, Lsn* lsn);
+
+  /// Points *out at bytes [off, off+len) of the file, reading them into
+  /// the buffer if needed. False if the range passes the end of the file
+  /// or the read fails (status_ then holds the error).
+  bool Fetch(uint64_t off, uint64_t len, const char** out);
+
+  int fd_;  ///< -1 for a missing file.
+  uint64_t size_;
   Lsn pos_;
-  Lsn limit_;
+  Status status_;
+  std::string buf_;       ///< Read buffer holding file bytes from buf_off_.
+  uint64_t buf_off_ = 0;
+  uint64_t buf_len_ = 0;  ///< Valid bytes in buf_.
 };
 
 }  // namespace cwdb

@@ -106,6 +106,76 @@ TEST(DecoderFuzz, AuditMetaGarbage) {
   EXPECT_FALSE(ReadAuditMeta(path).ok());
 }
 
+TEST(DecoderFuzz, MangledSystemLogsReadAlikeInReaderAndOpen) {
+  // Random, truncated and bit-flipped logs go through the one log reader:
+  // it never fails a read (so never reads past EOF), its position stays
+  // inside the file, and SystemLog::Open reaches the same verdict.
+  TempDir dir;
+  const std::string path = dir.path() + "/system.log";
+  Lsn end = 0;
+  {
+    auto log = SystemLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    for (TxnId id = 1; id <= 40; ++id) {
+      std::string p;
+      if (id % 2 == 0) {
+        EncodePhysRedo(&p, id, id * 64, std::string(id, 'r'), nullptr);
+      } else {
+        EncodeCommitTxn(&p, id);
+      }
+      (*log)->Append(p);
+    }
+    ASSERT_OK((*log)->Flush());
+    end = (*log)->end_of_stable_log();
+  }
+  std::string valid;
+  ASSERT_OK(ReadFileToString(path, &valid));
+  valid.resize(end + 4096);  // Frames plus a short preallocated tail.
+
+  Random rng(13);
+  std::set<WalTail> seen;
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string bytes;
+    switch (iter % 3) {
+      case 0:
+        bytes.resize(rng.Uniform(2048));
+        for (char& c : bytes) c = static_cast<char>(rng.Next32());
+        break;
+      case 1:
+        bytes = valid.substr(0, rng.OneIn(4) ? end
+                                             : rng.Uniform(valid.size() + 1));
+        break;
+      default:
+        bytes = valid;
+        for (int flips = 1 + rng.Uniform(3); flips > 0; --flips) {
+          bytes[rng.Uniform(end)] ^= static_cast<char>(1 << rng.Uniform(8));
+        }
+        break;
+    }
+    ASSERT_OK(WriteFileAtomic(path, bytes));
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+
+    auto reader = LogReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    LogRecord rec;
+    while ((*reader)->Next(&rec, nullptr)) {
+      ASSERT_LE((*reader)->position(), bytes.size());
+    }
+    const WalTailScan cold = (*reader)->ScanTail();
+    ASSERT_OK((*reader)->status());
+    EXPECT_LE((*reader)->position(), bytes.size());
+    EXPECT_EQ(cold.valid_bytes, (*reader)->position());
+    EXPECT_EQ(cold.file_bytes, bytes.size());
+
+    auto log = SystemLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ((*log)->tail_scan().valid_bytes, cold.valid_bytes);
+    EXPECT_EQ((*log)->tail_scan().damaged(), cold.damaged());
+    seen.insert(cold.tail);
+  }
+  EXPECT_EQ(seen.size(), 4u);  // Every tail class came up.
+}
+
 // ---------- file_util ----------
 
 TEST(FileUtil, AtomicWriteAndRead) {
@@ -251,8 +321,7 @@ TEST(SystemLogConcurrency, GroupCommitBatchesConcurrentFlushers) {
     }
     for (auto& th : threads) th.join();
     // Nothing lost or reordered beyond framing, on every attempt.
-    auto reader = LogReader::Open(std::string(disk_dir) + "/log", 0,
-                                  kInvalidLsn);
+    auto reader = LogReader::Open(std::string(disk_dir) + "/log");
     ASSERT_TRUE(reader.ok());
     LogRecord rec;
     int n = 0;
@@ -292,7 +361,7 @@ TEST(SystemLogConcurrency, AppendsDuringFlushKeepDenseLsns) {
   appender.join();
   ASSERT_OK((*log)->Flush());
 
-  auto reader = LogReader::Open(dir.path() + "/log", 0, kInvalidLsn);
+  auto reader = LogReader::Open(dir.path() + "/log");
   ASSERT_TRUE(reader.ok());
   LogRecord rec;
   size_t n = 0;
@@ -325,7 +394,7 @@ TEST(SystemLogConcurrency, ParallelAppendersGetDistinctLsns) {
   EXPECT_EQ(all.size(), static_cast<size_t>(kThreads * kPerThread));
 
   // And the stable log contains exactly that many records.
-  auto reader = LogReader::Open(dir.path() + "/log", 0, kInvalidLsn);
+  auto reader = LogReader::Open(dir.path() + "/log");
   ASSERT_TRUE(reader.ok());
   LogRecord rec;
   int n = 0;

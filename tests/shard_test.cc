@@ -320,8 +320,8 @@ TEST(ShardedWal, ConcurrentAppendFlushLosesNothing) {
   // damage, and the reader must deliver all records exactly once.
   auto reopened = SystemLog::Open(path, nullptr, 4);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_FALSE((*reopened)->tail_scan().damaged);
-  auto reader = LogReader::Open(path, 0, kInvalidLsn);
+  EXPECT_FALSE((*reopened)->tail_scan().damaged());
+  auto reader = LogReader::Open(path);
   ASSERT_TRUE(reader.ok());
   std::vector<std::vector<uint8_t>> hit(
       kThreads, std::vector<uint8_t>(kPerThread, 0));

@@ -20,6 +20,23 @@ trap 'rm -rf "$DIR"' EXIT
 "$CTL" logdump "$DIR/db" | grep -q "end of valid log"
 "$CTL" recover "$DIR/db" readlog | grep -q "recovery complete"
 
+# A flipped payload byte in the first frame of system.log is in-place
+# damage, not a torn append: check fails and names the damage offset, and
+# the engine's open files a wal_crc dossier for the same byte.
+cp -r "$DIR/db" "$DIR/waldb"
+b=$(od -An -tu1 -j9 -N1 "$DIR/waldb/system.log" | tr -d ' ')
+printf "\\$(printf '%03o' $((b ^ 1)))" \
+  | dd of="$DIR/waldb/system.log" bs=1 seek=9 count=1 conv=notrunc 2> /dev/null
+if "$CTL" check "$DIR/waldb" > "$DIR/check.out"; then
+  echo "check must fail on in-place WAL damage" >&2
+  exit 1
+fi
+grep -q "DAMAGED at byte 0" "$DIR/check.out"
+"$CTL" info "$DIR/waldb" | grep -q "DAMAGED at byte 0"
+"$CTL" recover "$DIR/waldb" > /dev/null
+"$CTL" incidents "$DIR/waldb" | grep -q "source=wal_crc"
+"$CTL" incidents "$DIR/waldb" | grep -q "failed CRC at byte 0 "
+
 # stats re-emits the metrics snapshot quickstart's Close() persisted,
 # including the process gauges sampled at dump time.
 "$CTL" stats "$DIR/db" | grep -q '"txn.commits"'

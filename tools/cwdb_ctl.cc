@@ -104,47 +104,28 @@ int Usage() {
   return 2;
 }
 
-/// Loads the active checkpoint image of a cold database directory.
-Result<std::unique_ptr<DbImage>> LoadColdImage(const DbFiles& files,
-                                               CheckpointMeta* meta_out,
-                                               int* which_out) {
-  std::string anchor;
-  CWDB_RETURN_IF_ERROR(ReadFileToString(files.Anchor(), &anchor));
-  int which = anchor == "A" ? 0 : anchor == "B" ? 1 : -1;
-  if (which < 0) return Status::Corruption("bad anchor: " + anchor);
-
-  // Geometry comes from the image header, but we need geometry to build
-  // the DbImage first — so peek at the raw header in the checkpoint file.
-  std::string head(sizeof(DbHeaderRaw), '\0');
-  {
-    std::string contents;
-    CWDB_RETURN_IF_ERROR(ReadFileToString(files.CkptImage(which), &contents));
-    if (contents.size() < sizeof(DbHeaderRaw)) {
-      return Status::Corruption("checkpoint image too small");
-    }
-    DbHeaderRaw h;
-    std::memcpy(&h, contents.data(), sizeof(h));
-    if (h.magic != kDbMagic) return Status::Corruption("bad image magic");
-    CWDB_ASSIGN_OR_RETURN(std::unique_ptr<DbImage> image,
-                          DbImage::Create(h.arena_size, h.page_size));
-    std::memcpy(image->base(), contents.data(),
-                std::min<size_t>(contents.size(), image->size()));
-    CWDB_RETURN_IF_ERROR(image->ValidateHeader());
-    if (meta_out != nullptr) {
-      // Reuse the Checkpointer's meta reader through a scratch instance.
-      Checkpointer scratch(files, image.get(), nullptr, nullptr, nullptr);
-      CWDB_ASSIGN_OR_RETURN(*meta_out, scratch.ReadActiveMeta());
-    }
-    if (which_out != nullptr) *which_out = which;
-    return image;
+/// How `cwdb_ctl` renders the engine's classification of the bytes past
+/// the valid log prefix (LogReader::ScanTail).
+std::string TailNote(const WalTailScan& scan) {
+  switch (scan.tail) {
+    case WalTail::kClean:
+      return "";
+    case WalTail::kPreallocated:
+      return " (+ preallocated tail)";
+    case WalTail::kTorn:
+      return " (torn tail will be discarded)";
+    case WalTail::kDamaged:
+      break;
   }
+  return " (DAMAGED at byte " + std::to_string(scan.damage_off) +
+         ": stable frames altered in place; open files a wal_crc dossier "
+         "and truncates here)";
 }
 
 int CmdInfo(const std::string& dir) {
   DbFiles files(dir);
-  CheckpointMeta meta;
-  int which = 0;
-  auto image = LoadColdImage(files, &meta, &which);
+  ActiveCheckpoint active;
+  auto image = LoadCheckpointImage(files, &active);
   if (!image.ok()) {
     std::fprintf(stderr, "cannot load checkpoint: %s\n",
                  image.status().ToString().c_str());
@@ -157,14 +138,17 @@ int CmdInfo(const std::string& dir) {
   std::printf("allocated        : %" PRIu64 " bytes (cursor)\n",
               h->alloc_cursor);
   std::printf("active checkpoint: Ckpt_%c, CK_end=%" PRIu64 "\n",
-              which == 0 ? 'A' : 'B', meta.ck_end);
+              active.which == 0 ? 'A' : 'B', active.meta.ck_end);
 
   // Checkpointed ATT summary (decode into a scratch manager-free count).
-  std::printf("checkpointed ATT : %zu bytes\n", meta.att_blob.size());
+  std::printf("checkpointed ATT : %zu bytes\n", active.meta.att_blob.size());
 
-  std::string log_contents;
-  if (ReadFileToString(files.SystemLog(), &log_contents).ok()) {
-    std::printf("stable log       : %zu bytes\n", log_contents.size());
+  auto reader = LogReader::Open(files.SystemLog());
+  if (reader.ok()) {
+    const WalTailScan scan = (*reader)->ScanTail();
+    std::printf("stable log       : %" PRIu64 " bytes, valid prefix %" PRIu64
+                "%s\n",
+                scan.file_bytes, scan.valid_bytes, TailNote(scan).c_str());
   }
   auto audit_lsn = ReadAuditMeta(files.AuditMeta());
   if (audit_lsn.ok()) {
@@ -183,7 +167,8 @@ int CmdInfo(const std::string& dir) {
 
 int CmdTables(const std::string& dir) {
   DbFiles files(dir);
-  auto image = LoadColdImage(files, nullptr, nullptr);
+  ActiveCheckpoint active;
+  auto image = LoadCheckpointImage(files, &active);
   if (!image.ok()) {
     std::fprintf(stderr, "%s\n", image.status().ToString().c_str());
     return 1;
@@ -204,9 +189,8 @@ int CmdTables(const std::string& dir) {
 int CmdCheck(const std::string& dir, bool repair) {
   DbFiles files(dir);
   int failures = 0;
-  CheckpointMeta meta;
-  int which = 0;
-  auto image = LoadColdImage(files, &meta, &which);
+  ActiveCheckpoint active;
+  auto image = LoadCheckpointImage(files, &active);
   if (!image.ok()) {
     std::printf("checkpoint image : FAIL (%s)\n",
                 image.status().ToString().c_str());
@@ -217,69 +201,58 @@ int CmdCheck(const std::string& dir, bool repair) {
   // Parity sidecar: verify the cold image bytes against the codewords it
   // was checkpointed under and report what the parity columns could
   // reconstruct; --repair rewrites those regions in the image file.
-  std::string blob;
-  Status ps = ReadFileToString(files.CkptParity(which), &blob,
-                               MissingFile::kTreatAsEmpty);
-  if (!ps.ok()) {
-    ++failures;
-    std::printf("parity sidecar   : FAIL (%s)\n", ps.ToString().c_str());
-  } else if (blob.empty()) {
+  SidecarCheck sc = CheckCheckpointSidecar(files, active, **image);
+  if (sc.state == SidecarState::kMissing) {
     std::printf("parity sidecar   : none (scheme without a parity tier)\n");
-  } else if (Result<ParitySidecar> sc = DecodeParitySidecar(Slice(blob));
-             !sc.ok()) {
+  } else if (sc.state == SidecarState::kUndecodable) {
     ++failures;
-    std::printf("parity sidecar   : FAIL (%s)\n",
-                sc.status().ToString().c_str());
-  } else if (sc->ck_end != meta.ck_end || sc->arena_size != (*image)->size()) {
+    std::printf("parity sidecar   : FAIL (%s)\n", sc.error.ToString().c_str());
+  } else if (sc.state == SidecarState::kStale) {
     std::printf("parity sidecar   : stale (CK_end %" PRIu64 " vs %" PRIu64
                 ") — verification skipped\n",
-                sc->ck_end, meta.ck_end);
+                sc.sidecar.ck_end, active.meta.ck_end);
+  } else if (sc.detected.empty()) {
+    std::printf("parity sidecar   : ok (%" PRIu64 " regions verified)\n",
+                sc.regions_verified);
   } else {
-    uint64_t verified = 0;
-    std::vector<CorruptRange> detected =
-        VerifyImageAgainstSidecar(*sc, (*image)->base(), &verified);
-    if (detected.empty()) {
-      std::printf("parity sidecar   : ok (%" PRIu64 " regions verified)\n",
-                  verified);
-    } else {
-      ImageRepairReport rep;
-      RepairImageWithSidecar(*sc, (*image)->base(), detected, repair, &rep);
-      std::printf("parity sidecar   : %zu corrupt region(s) — %zu "
-                  "reconstructable, %zu beyond the correction budget\n",
-                  detected.size(), rep.repaired.size(),
-                  rep.unrepaired.size());
-      for (size_t i = 0; i < rep.repaired.size(); ++i) {
-        std::printf("  [%" PRIu64 ", +%" PRIu64 ") reconstructable "
-                    "(delta 0x%08x)%s\n",
-                    rep.repaired[i].off, rep.repaired[i].len,
-                    rep.repair_deltas[i], repair ? " — repaired" : "");
-      }
-      for (const CorruptRange& r : rep.unrepaired) {
-        std::printf("  [%" PRIu64 ", +%" PRIu64 ") NOT reconstructable\n",
-                    r.off, r.len);
-      }
-      if (repair && !rep.repaired.empty()) {
-        // Write the reconstructed regions back into the image file (file
-        // offset == arena offset for the full-arena checkpoint image).
-        int fd = ::open(files.CkptImage(which).c_str(), O_WRONLY);
-        Status ws = fd < 0 ? Status::IoError("open for --repair failed")
-                           : Status::OK();
-        for (const CorruptRange& r : rep.repaired) {
-          if (!ws.ok()) break;
-          ws = PWriteAll(fd, (*image)->base() + r.off, r.len, r.off);
-        }
-        if (ws.ok() && fd >= 0) ws = FsyncFd(fd);
-        if (fd >= 0) ::close(fd);
-        if (!ws.ok()) {
-          ++failures;
-          std::printf("  write-back     : FAIL (%s)\n", ws.ToString().c_str());
-        } else {
-          std::printf("  write-back     : %zu region(s) repaired in %s\n",
-                      rep.repaired.size(), files.CkptImage(which).c_str());
-        }
-      }
-      if (!repair || !rep.unrepaired.empty()) ++failures;
+    ImageRepairReport rep;
+    RepairImageWithSidecar(sc.sidecar, (*image)->base(), sc.detected, repair,
+                           &rep);
+    std::printf("parity sidecar   : %zu corrupt region(s) — %zu "
+                "reconstructable, %zu beyond the correction budget\n",
+                sc.detected.size(), rep.repaired.size(),
+                rep.unrepaired.size());
+    for (size_t i = 0; i < rep.repaired.size(); ++i) {
+      std::printf("  [%" PRIu64 ", +%" PRIu64 ") reconstructable "
+                  "(delta 0x%08x)%s\n",
+                  rep.repaired[i].off, rep.repaired[i].len,
+                  rep.repair_deltas[i], repair ? " — repaired" : "");
     }
+    for (const CorruptRange& r : rep.unrepaired) {
+      std::printf("  [%" PRIu64 ", +%" PRIu64 ") NOT reconstructable\n",
+                  r.off, r.len);
+    }
+    if (repair && !rep.repaired.empty()) {
+      // Write the reconstructed regions back into the image file (file
+      // offset == arena offset for the full-arena checkpoint image).
+      int fd = ::open(files.CkptImage(active.which).c_str(), O_WRONLY);
+      Status ws = fd < 0 ? Status::IoError("open for --repair failed")
+                         : Status::OK();
+      for (const CorruptRange& r : rep.repaired) {
+        if (!ws.ok()) break;
+        ws = PWriteAll(fd, (*image)->base() + r.off, r.len, r.off);
+      }
+      if (ws.ok() && fd >= 0) ws = FsyncFd(fd);
+      if (fd >= 0) ::close(fd);
+      if (!ws.ok()) {
+        ++failures;
+        std::printf("  write-back     : FAIL (%s)\n", ws.ToString().c_str());
+      } else {
+        std::printf("  write-back     : %zu region(s) repaired in %s\n",
+                    rep.repaired.size(), files.CkptImage(active.which).c_str());
+      }
+    }
+    if (!repair || !rep.unrepaired.empty()) ++failures;
   }
 
   auto violations = CheckImageIntegrity(**image);
@@ -294,30 +267,21 @@ int CmdCheck(const std::string& dir, bool repair) {
     }
   }
 
-  auto reader = LogReader::Open(files.SystemLog(), 0, kInvalidLsn);
+  auto reader = LogReader::Open(files.SystemLog());
   if (reader.ok()) {
     LogRecord rec;
     uint64_t n = 0;
     while ((*reader)->Next(&rec, nullptr)) ++n;
-    std::string contents;
-    (void)ReadFileToString(files.SystemLog(), &contents);
-    // Past the valid prefix: all-zero bytes are the group-commit drainer's
-    // preallocation (clean end of log); anything nonzero is a torn append.
-    const char* tail_note = "";
-    if ((*reader)->position() != contents.size()) {
-      bool all_zero = true;
-      for (size_t i = (*reader)->position(); i < contents.size(); ++i) {
-        if (contents[i] != '\0') {
-          all_zero = false;
-          break;
-        }
-      }
-      tail_note = all_zero ? " (+ preallocated tail)"
-                           : " (torn tail will be discarded)";
-    }
+    const WalTailScan scan = (*reader)->ScanTail();
+    // In-place damage costs committed transactions: the check fails.
+    if (scan.damaged() || !(*reader)->status().ok()) ++failures;
     std::printf("stable log       : %" PRIu64 " records, valid prefix %" PRIu64
-                "/%zu bytes%s\n",
-                n, (*reader)->position(), contents.size(), tail_note);
+                "/%" PRIu64 " bytes%s\n",
+                n, scan.valid_bytes, scan.file_bytes, TailNote(scan).c_str());
+    if (!(*reader)->status().ok()) {
+      std::printf("  read error     : %s\n",
+                  (*reader)->status().ToString().c_str());
+    }
   } else {
     ++failures;
     std::printf("stable log       : FAIL (%s)\n",
@@ -342,7 +306,7 @@ const char* RecordName(LogRecordType type) {
 
 int CmdLogDump(const std::string& dir, Lsn from) {
   DbFiles files(dir);
-  auto reader = LogReader::Open(files.SystemLog(), from, kInvalidLsn);
+  auto reader = LogReader::Open(files.SystemLog(), from);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
@@ -377,23 +341,23 @@ int CmdLogDump(const std::string& dir, Lsn from) {
     }
     std::printf("\n");
   }
-  std::printf("-- end of valid log at %" PRIu64 " --\n", (*reader)->position());
-  return 0;
+  const WalTailScan scan = (*reader)->ScanTail();
+  std::printf("-- end of valid log at %" PRIu64 "%s --\n", scan.valid_bytes,
+              TailNote(scan).c_str());
+  return (*reader)->status().ok() ? 0 : 1;
 }
 
 int CmdRecover(const std::string& dir, const std::string& scheme_name) {
   DatabaseOptions opts;
   opts.path = dir;
-  // Geometry must match the stored image: peek at it.
-  DbFiles files(dir);
-  CheckpointMeta meta;
-  auto image = LoadColdImage(files, &meta, nullptr);
-  if (!image.ok()) {
-    std::fprintf(stderr, "%s\n", image.status().ToString().c_str());
+  // Geometry must match the stored image: take it from the checkpoint meta.
+  auto active = ReadActiveCheckpoint(DbFiles(dir));
+  if (!active.ok()) {
+    std::fprintf(stderr, "%s\n", active.status().ToString().c_str());
     return 1;
   }
-  opts.arena_size = (*image)->header()->arena_size;
-  opts.page_size = (*image)->header()->page_size;
+  opts.arena_size = active->meta.arena_size;
+  opts.page_size = active->meta.page_size;
   if (scheme_name == "readlog") {
     opts.protection.scheme = ProtectionScheme::kReadLog;
   } else if (scheme_name == "cwreadlog") {
@@ -492,8 +456,30 @@ int CmdStatsPerShard(const JsonValue& doc) {
   return 0;
 }
 
+/// Reads and parses the persisted metrics snapshot; on failure says why on
+/// stderr.
+Result<JsonValue> LoadMetricsSnapshot(const DbFiles& files) {
+  std::string json;
+  Status s = ReadFileToString(files.MetricsFile(), &json);
+  if (!s.ok()) {
+    std::fprintf(stderr, "no metrics snapshot at %s: %s\n",
+                 files.MetricsFile().c_str(), s.ToString().c_str());
+    return s;
+  }
+  Result<JsonValue> doc = ParseJson(json);
+  if (!doc.ok()) {
+    std::fprintf(stderr, "cannot parse %s: %s\n", files.MetricsFile().c_str(),
+                 doc.status().ToString().c_str());
+  }
+  return doc;
+}
+
 int CmdStats(const std::string& dir, bool per_shard) {
   DbFiles files(dir);
+  if (per_shard) {
+    Result<JsonValue> doc = LoadMetricsSnapshot(files);
+    return doc.ok() ? CmdStatsPerShard(*doc) : 1;
+  }
   std::string json;
   Status s = ReadFileToString(files.MetricsFile(), &json);
   if (!s.ok()) {
@@ -503,16 +489,6 @@ int CmdStats(const std::string& dir, bool per_shard) {
                  files.MetricsFile().c_str(), s.ToString().c_str());
     return 1;
   }
-  if (per_shard) {
-    Result<JsonValue> doc = ParseJson(json);
-    if (!doc.ok()) {
-      std::fprintf(stderr, "cannot parse %s: %s\n",
-                   files.MetricsFile().c_str(),
-                   doc.status().ToString().c_str());
-      return 1;
-    }
-    return CmdStatsPerShard(*doc);
-  }
   // Verbatim: the contract is that this output is byte-identical to what
   // DumpMetrics() returned in-process.
   std::fwrite(json.data(), 1, json.size(), stdout);
@@ -521,20 +497,8 @@ int CmdStats(const std::string& dir, bool per_shard) {
 }
 
 int CmdTrace(const std::string& dir) {
-  DbFiles files(dir);
-  std::string json;
-  Status s = ReadFileToString(files.MetricsFile(), &json);
-  if (!s.ok()) {
-    std::fprintf(stderr, "no metrics snapshot at %s: %s\n",
-                 files.MetricsFile().c_str(), s.ToString().c_str());
-    return 1;
-  }
-  Result<JsonValue> doc = ParseJson(json);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "cannot parse %s: %s\n", files.MetricsFile().c_str(),
-                 doc.status().ToString().c_str());
-    return 1;
-  }
+  Result<JsonValue> doc = LoadMetricsSnapshot(DbFiles(dir));
+  if (!doc.ok()) return 1;
   const JsonValue* events = doc->Find("events");
   if (events == nullptr || !events->is_array()) {
     std::fprintf(stderr, "snapshot has no events array (schema %" PRIu64
@@ -675,30 +639,24 @@ int CmdIncidents(const std::string& dir) {
 int CmdRepairs(const std::string& dir) {
   DbFiles files(dir);
   // repair.* instruments from the persisted metrics snapshot.
-  std::string json;
-  if (ReadFileToString(files.MetricsFile(), &json).ok()) {
-    Result<JsonValue> doc = ParseJson(json);
-    if (doc.ok()) {
-      if (const JsonValue* counters = doc->Find("counters");
-          counters != nullptr && counters->is_object()) {
-        for (const auto& [name, value] : counters->members()) {
-          if (name.rfind("repair.", 0) != 0) continue;
-          std::printf("%-28s %12" PRIu64 "\n", name.c_str(), value.AsU64());
-        }
-      }
-      if (const JsonValue* hists = doc->Find("histograms");
-          hists != nullptr && hists->is_object()) {
-        for (const auto& [name, h] : hists->members()) {
-          if (name.rfind("repair.", 0) != 0 || h.U64("count") == 0) continue;
-          std::printf("%-28s count=%" PRIu64 " p50=%" PRIu64 "ns p99=%" PRIu64
-                      "ns max=%" PRIu64 "ns\n",
-                      name.c_str(), h.U64("count"), h.U64("p50"), h.U64("p99"),
-                      h.U64("max"));
-        }
+  if (Result<JsonValue> doc = LoadMetricsSnapshot(files); doc.ok()) {
+    if (const JsonValue* counters = doc->Find("counters");
+        counters != nullptr && counters->is_object()) {
+      for (const auto& [name, value] : counters->members()) {
+        if (name.rfind("repair.", 0) != 0) continue;
+        std::printf("%-28s %12" PRIu64 "\n", name.c_str(), value.AsU64());
       }
     }
-  } else {
-    std::printf("no metrics snapshot at %s\n", files.MetricsFile().c_str());
+    if (const JsonValue* hists = doc->Find("histograms");
+        hists != nullptr && hists->is_object()) {
+      for (const auto& [name, h] : hists->members()) {
+        if (name.rfind("repair.", 0) != 0 || h.U64("count") == 0) continue;
+        std::printf("%-28s count=%" PRIu64 " p50=%" PRIu64 "ns p99=%" PRIu64
+                    "ns max=%" PRIu64 "ns\n",
+                    name.c_str(), h.U64("count"), h.U64("p50"), h.U64("p99"),
+                    h.U64("max"));
+      }
+    }
   }
 
   // Repair episodes from the dossier file.
@@ -732,6 +690,39 @@ int CmdRepairs(const std::string& dir) {
   return 0;
 }
 
+/// Rebuilds the graph `ProvenanceGraph::ToJson` persisted.
+ProvenanceGraph GraphFromJson(const JsonValue& doc) {
+  ProvenanceGraph g;
+  g.incident_id = doc.U64("incident_id");
+  g.last_clean_audit_lsn = doc.U64("last_clean_audit_lsn");
+  if (const JsonValue* roots = doc.Find("roots"); roots != nullptr) {
+    for (const JsonValue& r : roots->array()) {
+      g.roots.push_back(CorruptRange{r.U64("off"), r.U64("len")});
+    }
+  }
+  if (const JsonValue* edges = doc.Find("edges"); edges != nullptr) {
+    for (const JsonValue& ej : edges->array()) {
+      ProvenanceEdge e;
+      e.txn = ej.U64("txn");
+      e.at_lsn = ej.U64("at_lsn");
+      e.via = CorruptRange{ej.U64("via_off"), ej.U64("via_len")};
+      e.from_txn = ej.U64("from_txn");
+      std::string reason = ej.Str("reason");
+      for (int i = 0;
+           i <= static_cast<int>(ProvenanceReason::kCommittedAfterLimit);
+           ++i) {
+        if (reason ==
+            ProvenanceReasonName(static_cast<ProvenanceReason>(i))) {
+          e.reason = static_cast<ProvenanceReason>(i);
+          break;
+        }
+      }
+      g.edges.push_back(e);
+    }
+  }
+  return g;
+}
+
 int CmdExplainRecovery(const std::string& dir, bool dot) {
   DbFiles files(dir);
   std::string json;
@@ -743,48 +734,6 @@ int CmdExplainRecovery(const std::string& dir, bool dot) {
                  files.ProvenanceFile().c_str(), s.ToString().c_str());
     return 1;
   }
-  if (dot) {
-    // Re-emit as Graphviz from the parsed JSON so the output always
-    // matches the persisted graph.
-    Result<JsonValue> doc = ParseJson(json);
-    if (!doc.ok()) {
-      std::fprintf(stderr, "cannot parse %s: %s\n",
-                   files.ProvenanceFile().c_str(),
-                   doc.status().ToString().c_str());
-      return 1;
-    }
-    ProvenanceGraph g;
-    g.incident_id = doc->U64("incident_id");
-    g.last_clean_audit_lsn = doc->U64("last_clean_audit_lsn");
-    if (const JsonValue* roots = doc->Find("roots"); roots != nullptr) {
-      for (const JsonValue& r : roots->array()) {
-        g.roots.push_back(CorruptRange{r.U64("off"), r.U64("len")});
-      }
-    }
-    if (const JsonValue* edges = doc->Find("edges"); edges != nullptr) {
-      for (const JsonValue& ej : edges->array()) {
-        ProvenanceEdge e;
-        e.txn = ej.U64("txn");
-        e.at_lsn = ej.U64("at_lsn");
-        e.via = CorruptRange{ej.U64("via_off"), ej.U64("via_len")};
-        e.from_txn = ej.U64("from_txn");
-        std::string reason = ej.Str("reason");
-        for (int i = 0;
-             i <= static_cast<int>(ProvenanceReason::kCommittedAfterLimit);
-             ++i) {
-          if (reason == ProvenanceReasonName(
-                            static_cast<ProvenanceReason>(i))) {
-            e.reason = static_cast<ProvenanceReason>(i);
-            break;
-          }
-        }
-        g.edges.push_back(e);
-      }
-    }
-    std::fputs(g.ToDot().c_str(), stdout);
-    return 0;
-  }
-
   Result<JsonValue> doc = ParseJson(json);
   if (!doc.ok()) {
     std::fprintf(stderr, "cannot parse %s: %s\n",
@@ -792,8 +741,15 @@ int CmdExplainRecovery(const std::string& dir, bool dot) {
                  doc.status().ToString().c_str());
     return 1;
   }
+  const ProvenanceGraph g = GraphFromJson(*doc);
+  if (dot) {
+    // Re-emit as Graphviz from the parsed JSON so the output always
+    // matches the persisted graph.
+    std::fputs(g.ToDot().c_str(), stdout);
+    return 0;
+  }
   std::printf("incident %" PRIu64 ", last clean audit LSN %" PRIu64 "\n",
-              doc->U64("incident_id"), doc->U64("last_clean_audit_lsn"));
+              g.incident_id, g.last_clean_audit_lsn);
 
   // The incident's root attribution (page/table/record), straight from the
   // persisted graph.
@@ -820,28 +776,6 @@ int CmdExplainRecovery(const std::string& dir, bool dot) {
     }
   }
 
-  // Reconstruct the graph to walk PathFor per deleted transaction.
-  ProvenanceGraph g;
-  if (const JsonValue* edges = doc->Find("edges"); edges != nullptr) {
-    for (const JsonValue& ej : edges->array()) {
-      ProvenanceEdge e;
-      e.txn = ej.U64("txn");
-      e.at_lsn = ej.U64("at_lsn");
-      e.via = CorruptRange{ej.U64("via_off"), ej.U64("via_len")};
-      e.from_txn = ej.U64("from_txn");
-      std::string reason = ej.Str("reason");
-      for (int i = 0;
-           i <= static_cast<int>(ProvenanceReason::kCommittedAfterLimit);
-           ++i) {
-        if (reason ==
-            ProvenanceReasonName(static_cast<ProvenanceReason>(i))) {
-          e.reason = static_cast<ProvenanceReason>(i);
-          break;
-        }
-      }
-      g.edges.push_back(e);
-    }
-  }
   if (g.edges.empty()) {
     std::printf("no transactions were implicated\n");
     return 0;
@@ -895,20 +829,8 @@ int CmdTop(const std::string& dir, bool once, uint64_t interval_ms) {
 }
 
 int CmdScrubMap(const std::string& dir) {
-  DbFiles files(dir);
-  std::string json;
-  Status s = ReadFileToString(files.MetricsFile(), &json);
-  if (!s.ok()) {
-    std::fprintf(stderr, "no metrics snapshot at %s: %s\n",
-                 files.MetricsFile().c_str(), s.ToString().c_str());
-    return 1;
-  }
-  Result<JsonValue> doc = ParseJson(json);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "cannot parse %s: %s\n", files.MetricsFile().c_str(),
-                 doc.status().ToString().c_str());
-    return 1;
-  }
+  Result<JsonValue> doc = LoadMetricsSnapshot(DbFiles(dir));
+  if (!doc.ok()) return 1;
   const JsonValue* gauges = doc->Find("gauges");
   if (gauges == nullptr || !gauges->is_object()) {
     std::fprintf(stderr, "snapshot has no gauges object (schema %" PRIu64
