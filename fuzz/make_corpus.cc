@@ -5,11 +5,14 @@
 //
 //   make_corpus <repo-root>
 //
-// writes fuzz/corpus/parity_sidecar/seed-valid and
-// fuzz/corpus/history_load/seed-valid under <repo-root>.
+// writes fuzz/corpus/parity_sidecar/seed-valid,
+// fuzz/corpus/history_load/seed-valid and one
+// fuzz/corpus/log_record/seed-<kind> per log record kind under
+// <repo-root>.
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "obs/history.h"
 #include "obs/metrics.h"
 #include "protect/parity_repair.h"
+#include "wal/log_record.h"
 
 namespace cwdb {
 namespace {
@@ -65,6 +69,43 @@ int Run(const std::string& root) {
   s = history.SaveTo(path);
   if (!s.ok()) {
     std::fprintf(stderr, "history seed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+
+  // Log records: one payload per kind, with the optional fields present
+  // (checksum, raw range, raw undo offset) where the kind has them.
+  const codeword_t cksum = 0x5eed1234;
+  LogicalUndo field_undo;
+  field_undo.code = UndoCode::kWriteField;
+  field_undo.table = 3;
+  field_undo.slot = 1234;
+  field_undo.field_off = 8;
+  field_undo.payload = std::string(8, 'u');
+  LogicalUndo raw_undo;
+  raw_undo.code = UndoCode::kWriteRaw;
+  raw_undo.raw_off = 4096;
+  raw_undo.payload = "before";
+  const char* names[] = {"begin_txn", "commit_txn", "abort_txn",
+                         "phys_redo", "read_log",   "begin_op",
+                         "commit_op", "commit_op_raw", "audit_begin"};
+  std::string records[std::size(names)];
+  EncodeBeginTxn(&records[0], 70001);
+  EncodeCommitTxn(&records[1], 70001);
+  EncodeAbortTxn(&records[2], 70002);
+  EncodePhysRedo(&records[3], 70001, 1 << 20, std::string(8, 'a'), &cksum);
+  EncodeReadLog(&records[4], 70001, 1 << 20, 100, &cksum);
+  EncodeBeginOp(&records[5], 70001, 9, 1, OpCode::kUpdate, kMaxTables,
+                kInvalidSlot, 4096, 6);
+  EncodeCommitOp(&records[6], 70001, 9, 1, field_undo);
+  EncodeCommitOp(&records[7], 70001, 10, 1, raw_undo);
+  EncodeAuditBegin(&records[8]);
+  const std::string dir = root + "/fuzz/corpus/log_record";
+  s = MakeDirs(dir);
+  for (size_t i = 0; s.ok() && i < std::size(names); ++i) {
+    s = WriteFileAtomic(dir + "/seed-" + names[i], records[i]);
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "log record seeds: %s\n", s.ToString().c_str());
     return 1;
   }
   std::printf("corpora written under %s/fuzz/corpus\n", root.c_str());

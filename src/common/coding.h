@@ -33,6 +33,7 @@ inline void PutLengthPrefixed(std::string* dst, Slice value) {
 }
 
 /// LEB128 varint: 7 value bits per byte, high bit = continuation. Used by
+/// the log records, whose ids, offsets and lengths are mostly small, and by
 /// the delta-encoded metrics-history records, where successive samples of a
 /// counter differ by small amounts and fixed64 would waste 7 bytes each.
 inline void PutVarint64(std::string* dst, uint64_t v) {
@@ -108,9 +109,14 @@ class Decoder {
       if (!Require(1)) return 0;
       uint8_t byte = static_cast<uint8_t>(*p_++);
       v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
+      if ((byte & 0x80) == 0) {
+        // Only the canonical form PutVarint64 writes: an overlong encoding
+        // (a zero final group) or value bits past bit 63 are malformed.
+        if ((byte == 0 && shift > 0) || (shift == 63 && byte > 1)) break;
+        return v;
+      }
     }
-    ok_ = false;  // Continuation bit past 64 value bits: malformed.
+    ok_ = false;  // Non-canonical, or a continuation bit past 64 bits.
     return 0;
   }
   int64_t GetVarintSigned() { return ZigzagDecode(GetVarint64()); }

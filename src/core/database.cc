@@ -221,10 +221,13 @@ Status Database::OpenImpl() {
   }
 
   if (FileExists(files_.Anchor())) {
-    Status recovered = RunRecovery();
-    if (recovered.IsCorruption()) {
+    bool log_unreadable = false;
+    Status recovered = RunRecovery(&log_unreadable);
+    if (recovered.IsCorruption() && !log_unreadable) {
       // The checkpoint/metadata needed for recovery is itself unusable —
-      // worth a dossier even though the open fails.
+      // worth a dossier even though the open fails. (A log record that
+      // does not decode fails the open too, naming its LSN, but is not
+      // the checkpoint's fault.)
       forensics_->RecordIncident(
           IncidentSource::kCheckpointMeta, /*lsn=*/0, LastCleanAuditLsn(), {},
           "recovery could not use the active checkpoint: " +
@@ -412,7 +415,7 @@ Lsn Database::LastCleanAuditLsn() const {
   return lsn.ok() ? *lsn : 0;
 }
 
-Status Database::RunRecovery() {
+Status Database::RunRecovery(bool* log_unreadable) {
   RecoveryOptions ropts;
   ropts.redo_limit = options_.recover_to_lsn;
   ropts.use_logged_checksums =
@@ -430,7 +433,9 @@ Status Database::RunRecovery() {
   }
   RecoveryDriver driver(files_, image_.get(), txns_.get(), log_.get(),
                         protection_.get(), checkpointer_.get());
-  CWDB_ASSIGN_OR_RETURN(last_report_, driver.Run(ropts));
+  Result<RecoveryReport> report = driver.Run(ropts);
+  if (log_unreadable != nullptr) *log_unreadable = driver.log_unreadable();
+  CWDB_ASSIGN_OR_RETURN(last_report_, std::move(report));
   // A rewind-at-open is one-shot: its final checkpoint made the prior
   // state the new truth, so later recoveries go to the latest state.
   options_.recover_to_lsn = kInvalidLsn;

@@ -415,7 +415,9 @@ class Database {
   explicit Database(const DatabaseOptions& options);
 
   Status OpenImpl();
-  Status RunRecovery();
+  /// `log_unreadable` (optional) tells a failure to read the log past
+  /// CK_end apart from an unusable checkpoint.
+  Status RunRecovery(bool* log_unreadable = nullptr);
   /// Writes the corruption note for a failed audit/certification, filing
   /// the incident dossier whose id the note carries.
   Status NoteCorruption(const std::vector<CorruptRange>& ranges,

@@ -163,6 +163,7 @@ bool RecoveryDriver::ConflictWitness(const ConflictSet& a,
 
 Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
   options_ = options;
+  log_unreadable_ = false;
   corrupt_txns_.clear();
   corrupt_data_ = IntervalSet();
   suppressed_bytes_ = 0;
@@ -458,7 +459,10 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
       }
     } while (reader->Next(&rec, &lsn));
   }
-  CWDB_RETURN_IF_ERROR(reader->status());
+  if (!reader->status().ok()) {
+    log_unreadable_ = true;
+    return reader->status();
+  }
   txns_->BumpIds(max_txn, max_op);
 
   // --- Undo phase: roll back incomplete transactions level by level. The

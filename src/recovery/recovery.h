@@ -87,6 +87,11 @@ class RecoveryDriver {
 
   Result<RecoveryReport> Run(const RecoveryOptions& options);
 
+  /// True if the last Run failed because the log past CK_end could not be
+  /// read (a read error or an undecodable record), not because of the
+  /// checkpoint or the corruption note.
+  bool log_unreadable() const { return log_unreadable_; }
+
  private:
   struct ConflictSet {
     std::set<std::pair<TableId, uint32_t>> targets;
@@ -118,6 +123,7 @@ class RecoveryDriver {
   Checkpointer* checkpointer_;
 
   RecoveryOptions options_;
+  bool log_unreadable_ = false;
   std::set<TxnId> corrupt_txns_;
   IntervalSet corrupt_data_;
   uint64_t suppressed_bytes_ = 0;

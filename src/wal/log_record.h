@@ -24,15 +24,19 @@ constexpr Lsn kInvalidLsn = ~0ull;
 /// paper's contribution (Section 4.2): the identity of data read by a
 /// transaction, optionally with a checksum of the bytes read, but never the
 /// value itself.
+///
+/// The values are the first byte of a record payload. They are disjoint
+/// from 1-8, the codes of the earlier fixed-width encoding, so a record
+/// in that format never decodes (DESIGN.md "Log record encoding").
 enum class LogRecordType : uint8_t {
-  kBeginTxn = 1,
-  kCommitTxn = 2,
-  kAbortTxn = 3,
-  kPhysRedo = 4,
-  kReadLog = 5,
-  kBeginOp = 6,
-  kCommitOp = 7,
-  kAuditBegin = 8,
+  kBeginTxn = 0x11,
+  kCommitTxn = 0x12,
+  kAbortTxn = 0x13,
+  kPhysRedo = 0x14,
+  kReadLog = 0x15,
+  kBeginOp = 0x16,
+  kCommitOp = 0x17,
+  kAuditBegin = 0x18,
 };
 
 /// Logical operation codes (level-1 operations over tables).
@@ -61,7 +65,7 @@ struct LogicalUndo {
   TableId table = 0;
   uint32_t slot = kInvalidSlot;
   uint32_t field_off = 0;
-  DbPtr raw_off = 0;  ///< kWriteRaw only.
+  DbPtr raw_off = 0;  ///< kWriteRaw only (not logged for other codes).
   std::string payload;
 };
 
@@ -109,7 +113,8 @@ void EncodeReadLog(std::string* dst, TxnId txn, DbPtr off, uint32_t len,
 
 /// Begin-operation record. `table`/`slot` identify the logical target for
 /// the corruption-recovery conflict check (§4.3); raw-region operations
-/// additionally carry the physical range [raw_off, raw_off+raw_len).
+/// (table == kMaxTables) additionally carry the physical range
+/// [raw_off, raw_off+raw_len), which other operations do not log.
 void EncodeBeginOp(std::string* dst, TxnId txn, uint32_t op_id, uint8_t level,
                    OpCode opcode, TableId table, uint32_t slot, DbPtr raw_off,
                    uint32_t raw_len);
@@ -118,8 +123,15 @@ void EncodeCommitOp(std::string* dst, TxnId txn, uint32_t op_id,
 
 void EncodeAuditBegin(std::string* dst);
 
-/// Decodes one record payload. Returns false on malformed input.
+/// Decodes one record payload on its own, without state from earlier
+/// records. Strict: returns false unless the payload is exactly what the
+/// encoder of its type writes (canonical varints, enums in range, no
+/// trailing bytes), so an accepted payload re-encodes to itself.
 bool DecodeLogRecord(Slice payload, LogRecord* out);
+
+/// Appends `rec` through the encoder of its type: the inverse of
+/// DecodeLogRecord, used to check that decoding is exact.
+void EncodeLogRecord(std::string* dst, const LogRecord& rec);
 
 }  // namespace cwdb
 

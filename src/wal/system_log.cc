@@ -536,9 +536,19 @@ bool LogReader::NextFrame(Slice* payload, Lsn* lsn) {
 
 bool LogReader::Next(LogRecord* record, Lsn* lsn) {
   Slice payload;
-  if (!NextFrame(&payload, lsn)) return false;
-  // Framed but undecodable: treat as end of log (defensive).
-  return DecodeLogRecord(payload, record);
+  Lsn at = 0;
+  if (!NextFrame(&payload, &at)) return false;
+  if (!DecodeLogRecord(payload, record)) {
+    // The frame's CRC verifies, so it was written whole: a payload that
+    // does not decode is damage (or another format), not the end of the
+    // log. Taking it for the end would silently drop every later record.
+    status_ = Status::Corruption("system log record at LSN " +
+                                 std::to_string(at) + " does not decode");
+    pos_ = at;
+    return false;
+  }
+  if (lsn != nullptr) *lsn = at;
+  return true;
 }
 
 WalTailScan LogReader::ScanTail() {

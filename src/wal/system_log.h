@@ -268,8 +268,10 @@ class LogReader {
   LogReader(const LogReader&) = delete;
   LogReader& operator=(const LogReader&) = delete;
 
-  /// Returns the next record; false at end of log, on a read error, or at
-  /// a framed but undecodable payload. `lsn` receives the record's LSN.
+  /// Returns the next record; false at end of log or on an error. A frame
+  /// whose CRC verifies but whose payload does not decode is an error:
+  /// status() becomes Corruption naming its LSN, and position() stays at
+  /// that frame. `lsn` receives the record's LSN.
   bool Next(LogRecord* record, Lsn* lsn);
 
   /// Walks the frames not read yet, then classifies the bytes past the

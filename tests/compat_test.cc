@@ -1,11 +1,13 @@
 // Cross-scheme compatibility and option validation: a database written
 // under one protection scheme must recover correctly when reopened under
 // another (the log format is scheme-agnostic; read log records and
-// checksums are simply ignored where not needed), and bad options must be
-// rejected up front.
+// checksums are simply ignored where not needed), bad options must be
+// rejected up front, and a log in the earlier fixed-width record encoding
+// is refused rather than misread.
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "core/database.h"
 #include "tests/test_util.h"
 
@@ -148,6 +150,36 @@ TEST(OptionsValidation, GeometryMismatchOnReopenIsRefused) {
   auto db = Database::Open(opts);
   EXPECT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsCorruption());
+}
+
+// Records of the earlier fixed-width encoding (a type byte of 1-8, then the
+// txn id as fixed64) past CK_end: the open must fail loudly, naming the
+// first such record, and leave the log as it was. No decode path for the
+// old format exists, and its type codes never decode as current records.
+TEST(LogFormat, OldFixedWidthRecordsAreRefused) {
+  TempDir dir;
+  std::vector<std::string> old_frames;
+  for (uint8_t type : {1 /* BeginTxn */, 2 /* CommitTxn */}) {
+    std::string p(1, static_cast<char>(type));
+    PutFixed64(&p, 1000);
+    old_frames.push_back(p);
+  }
+  const std::vector<Lsn> lsns =
+      AppendPastCkEndOfClosedDb(dir.path(), old_frames);
+  ASSERT_EQ(lsns.size(), 2u);
+  const std::string log = DbFiles(dir.path()).SystemLog();
+  const std::string frames = ValidLogFrames(log);
+  ASSERT_GT(frames.size(), lsns[1]);
+
+  auto db =
+      Database::Open(SmallDbOptions(dir.path(), ProtectionScheme::kNone));
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption());
+  EXPECT_NE(db.status().ToString().find("LSN " + std::to_string(lsns[0]) +
+                                        " does not decode"),
+            std::string::npos)
+      << db.status().ToString();
+  EXPECT_EQ(ReadWholeFile(log), frames);  // Every old frame is kept.
 }
 
 }  // namespace

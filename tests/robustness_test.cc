@@ -4,6 +4,7 @@
 // overlapping exposures.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <latch>
@@ -177,6 +178,70 @@ TEST(DecoderFuzz, MangledSystemLogsReadAlikeInReaderAndOpen) {
 }
 
 // ---------- file_util ----------
+
+// A frame whose CRC verifies but whose payload does not decode was written
+// whole: it is damage, not the end of the log. The reader fails there
+// naming its LSN, the open refuses the database without blaming the
+// checkpoint or truncating the log, and `cwdb_ctl check` fails naming the
+// same LSN. (Taken for the end of the log, it would make redo silently
+// drop the commit after it.)
+TEST(LogDamage, UndecodableFrameFailsReaderOpenAndCheck) {
+  TempDir dir;
+  std::string begin, commit;
+  EncodeBeginTxn(&begin, 1000);
+  EncodeCommitTxn(&commit, 1000);
+  const std::vector<Lsn> lsns = AppendPastCkEndOfClosedDb(
+      dir.path(), {begin, std::string(8, '\xFF'), commit});
+  ASSERT_EQ(lsns.size(), 3u);
+  const Lsn bad = lsns[1];
+  const std::string names_bad = "LSN " + std::to_string(bad) + " ";
+  const DbFiles files(dir.path());
+  const std::string frames = ValidLogFrames(files.SystemLog());
+  ASSERT_GT(frames.size(), lsns[2]);
+
+  auto active = ReadActiveCheckpoint(files);
+  ASSERT_TRUE(active.ok());
+  auto reader = LogReader::Open(files.SystemLog(), active->meta.ck_end);
+  ASSERT_TRUE(reader.ok());
+  LogRecord rec;
+  Lsn lsn = 0;
+  bool saw_begin = false;
+  while ((*reader)->Next(&rec, &lsn)) {
+    EXPECT_LT(lsn, bad);
+    saw_begin |= lsn == lsns[0] && rec.txn == 1000;
+  }
+  EXPECT_TRUE(saw_begin);
+  EXPECT_TRUE((*reader)->status().IsCorruption());
+  EXPECT_NE((*reader)->status().ToString().find(names_bad),
+            std::string::npos)
+      << (*reader)->status().ToString();
+  EXPECT_EQ((*reader)->position(), bad);
+
+  auto db =
+      Database::Open(SmallDbOptions(dir.path(), ProtectionScheme::kNone));
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption());
+  EXPECT_NE(db.status().ToString().find(names_bad), std::string::npos)
+      << db.status().ToString();
+  // Nothing is truncated: the bad frame and the commit after it stay.
+  EXPECT_EQ(ReadWholeFile(files.SystemLog()), frames);
+  std::string incidents;
+  ASSERT_OK(ReadFileToString(files.IncidentsFile(), &incidents,
+                             MissingFile::kTreatAsEmpty));
+  EXPECT_EQ(incidents.find("checkpoint_meta"), std::string::npos);
+
+  const std::string cmd =
+      std::string(CWDB_CTL_PATH) + " check " + dir.path() + " 2>&1";
+  FILE* out = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string text;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), out) != nullptr) text += buf;
+  const int rc = ::pclose(out);
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << text;
+  EXPECT_NE(text.find(names_bad), std::string::npos) << text;
+}
 
 TEST(FileUtil, AtomicWriteAndRead) {
   TempDir dir;

@@ -6,8 +6,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "ckpt/checkpoint.h"
+#include "common/file_util.h"
 #include "core/database.h"
+#include "wal/system_log.h"
 
 namespace cwdb {
 
@@ -53,6 +57,46 @@ inline DatabaseOptions SmallDbOptions(const std::string& path,
   opts.protection.scheme = scheme;
   opts.protection.region_size = region_size;
   return opts;
+}
+
+/// Creates a database at `path` and closes it, so its checkpoint anchor
+/// exists, then appends `payloads` as frames past its CK_end through
+/// SystemLog::Append: the next open's recovery reads them. Returns their
+/// LSNs (empty on a failure, which is reported).
+inline std::vector<Lsn> AppendPastCkEndOfClosedDb(
+    const std::string& path, const std::vector<std::string>& payloads) {
+  {
+    auto db = Database::Open(SmallDbOptions(path, ProtectionScheme::kNone));
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    if (!db.ok() || !(*db)->Close().ok()) return {};
+  }
+  const DbFiles files(path);
+  auto active = ReadActiveCheckpoint(files);
+  auto log = SystemLog::Open(files.SystemLog());
+  EXPECT_TRUE(active.ok() && log.ok());
+  if (!active.ok() || !log.ok()) return {};
+  std::vector<Lsn> lsns;
+  for (const std::string& p : payloads) lsns.push_back((*log)->Append(p));
+  EXPECT_TRUE((*log)->Flush().ok());
+  EXPECT_GE(lsns.front(), active->meta.ck_end);
+  return lsns;
+}
+
+/// The bytes of the log file at `path` up to the end of its valid frame
+/// prefix: what an open keeps (it drops the preallocated zero tail).
+inline std::string ValidLogFrames(const std::string& path) {
+  std::string bytes;
+  auto reader = LogReader::Open(path);
+  EXPECT_TRUE(reader.ok() && ReadFileToString(path, &bytes).ok());
+  if (reader.ok()) bytes.resize((*reader)->ScanTail().valid_bytes);
+  return bytes;
+}
+
+/// The whole file at `path`.
+inline std::string ReadWholeFile(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
+  return bytes;
 }
 
 }  // namespace cwdb

@@ -18,6 +18,18 @@ trap 'rm -rf "$DIR"' EXIT
 "$CTL" check "$DIR/db" | grep -q "image layout     : ok"
 "$CTL" logdump "$DIR/db" | grep -q "COMMIT_TXN"
 "$CTL" logdump "$DIR/db" | grep -q "end of valid log"
+
+# logdump closes with one line of record count and framed bytes per record
+# type; those bytes add up to the valid prefix.
+"$CTL" logdump "$DIR/db" > "$DIR/logdump.out"
+grep -q "^summary COMMIT_TXN records=[1-9]" "$DIR/logdump.out"
+sum=$(awk '/^summary /{sub("bytes=", "", $NF); s += $NF} END{print s}' \
+  "$DIR/logdump.out")
+end=$(sed -n 's/^-- end of valid log at \([0-9]*\).*/\1/p' "$DIR/logdump.out")
+if [ "$sum" -ne "$end" ]; then
+  echo "logdump summary bytes $sum != valid prefix $end" >&2
+  exit 1
+fi
 "$CTL" recover "$DIR/db" readlog | grep -q "recovery complete"
 
 # A flipped payload byte in the first frame of system.log is in-place

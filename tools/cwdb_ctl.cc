@@ -4,11 +4,14 @@
 //   cwdb_ctl tables <dir>                table directory of the active image
 //   cwdb_ctl check <dir> [--repair]      offline integrity check (meta CRCs,
 //                                        image header, layout invariants,
-//                                        log frame validity, parity-sidecar
-//                                        verification of the image bytes);
+//                                        log frame and record validity,
+//                                        parity-sidecar verification of
+//                                        the image bytes);
 //                                        --repair rewrites regions the
 //                                        parity columns can reconstruct
-//   cwdb_ctl logdump <dir> [from-lsn]    decode the stable system log
+//   cwdb_ctl logdump <dir> [from-lsn]    decode the stable system log, then
+//                                        one line of record count and
+//                                        framed bytes per record type
 //   cwdb_ctl recover <dir> [scheme]      open the database (running restart
 //                                        or corruption recovery) and report
 //   cwdb_ctl stats <dir> [--per-shard]   re-emit the metrics snapshot that
@@ -311,9 +314,15 @@ int CmdLogDump(const std::string& dir, Lsn from) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
+  // Per record type: count and framed bytes (header included), so the log
+  // volume of a run can be split by record kind.
+  std::map<LogRecordType, std::pair<uint64_t, uint64_t>> volume;
   LogRecord rec;
   Lsn lsn;
   while ((*reader)->Next(&rec, &lsn)) {
+    auto& [count, bytes] = volume[rec.type];
+    ++count;
+    bytes += (*reader)->position() - lsn;
     std::printf("%10" PRIu64 "  %s txn=%-6" PRIu64, lsn,
                 RecordName(rec.type), rec.txn);
     switch (rec.type) {
@@ -340,6 +349,10 @@ int CmdLogDump(const std::string& dir, Lsn from) {
         break;
     }
     std::printf("\n");
+  }
+  for (const auto& [type, tally] : volume) {
+    std::printf("summary %s records=%" PRIu64 " bytes=%" PRIu64 "\n",
+                RecordName(type), tally.first, tally.second);
   }
   const WalTailScan scan = (*reader)->ScanTail();
   std::printf("-- end of valid log at %" PRIu64 "%s --\n", scan.valid_bytes,
