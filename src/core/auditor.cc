@@ -1,5 +1,7 @@
 #include "core/auditor.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -235,6 +237,7 @@ bool BackgroundAuditor::AuditSlice() {
 }
 
 void BackgroundAuditor::Loop() {
+  pthread_setname_np(pthread_self(), "cwdb-audit");
   std::unique_lock<std::mutex> guard(mu_);
   while (!stop_) {
     guard.unlock();

@@ -1,5 +1,6 @@
 #include "core/database.h"
 
+#include <pthread.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -78,6 +79,7 @@ void Database::StopBackgroundWork() {
 }
 
 void Database::MetricsFlusherLoop() {
+  pthread_setname_np(pthread_self(), "cwdb-metrics");
   const auto interval =
       std::chrono::milliseconds(options_.metrics.flush_interval_ms);
   std::unique_lock<std::mutex> lock(flusher_mu_);
@@ -180,7 +182,6 @@ Status Database::OpenImpl() {
   }
 
   CWDB_ASSIGN_OR_RETURN(log_, SystemLog::Open(files_.SystemLog(), &metrics_,
-                                              shard_map_.shard_count(),
                                               flight_recorder_.get()));
   txns_ = std::make_unique<TxnManager>(image_.get(), protection_.get(),
                                        log_.get(), &metrics_,
@@ -207,13 +208,14 @@ Status Database::OpenImpl() {
 
   // A damaged WAL tail (a complete frame failing its CRC — not explainable
   // as a torn append) is a detection in its own right: file the dossier
-  // before recovery truncates and moves on.
+  // before recovery moves on. The log is cut back to the valid prefix by
+  // the first flush, so an open that appends nothing files it again.
   const WalTailScan& tail = log_->tail_scan();
   if (tail.damaged()) {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
                   "WAL tail failed CRC at byte %" PRIu64 " of %" PRIu64
-                  "; log truncated to last valid prefix %" PRIu64,
+                  "; log continues from last valid prefix %" PRIu64,
                   tail.damage_off, tail.file_bytes, tail.valid_bytes);
     forensics_->RecordIncident(IncidentSource::kWalCrc,
                                /*lsn=*/tail.valid_bytes, LastCleanAuditLsn(),

@@ -59,10 +59,11 @@ struct DatabaseOptions {
 
   /// Number of engine shards. The arena is partitioned into this many
   /// contiguous page/region-aligned spans (ShardMap); the protection
-  /// latches and codeword tables, the lock-manager segments and the WAL
-  /// append staging are all instantiated per shard, so transactions on
-  /// disjoint shards share no hot state. 0 = one shard per hardware
-  /// thread; 1 = the pre-sharding single-shard layout.
+  /// latches and codeword tables and the lock-manager segments are
+  /// instantiated per shard, so transactions on disjoint shards share no
+  /// latch or lock state. The system log has one tail for all shards.
+  /// 0 = one shard per hardware thread; 1 = the pre-sharding single-shard
+  /// layout.
   size_t shards = 0;
 
   /// Corruption-protection scheme and region size (paper §3, Table 2).

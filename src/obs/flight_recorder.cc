@@ -174,16 +174,12 @@ void FlightRecorder::OnTraceEvent(const TraceEvent& e) noexcept {
   Word64(slot + kTsTicket)->store(2 * e.seq + 2, std::memory_order_release);
 }
 
-void FlightRecorder::NoteStagedLsn(size_t shard, uint64_t lsn_end) noexcept {
-  if (shard >= kMaxShards) return;
-  Word64(kShardLsnOff + shard * 16)
-      ->store(lsn_end, std::memory_order_relaxed);
+void FlightRecorder::NoteStagedLsn(uint64_t logical_end) noexcept {
+  Word64(kGlobalLsnOff + 8)->store(logical_end, std::memory_order_relaxed);
 }
 
-void FlightRecorder::NoteDurableLsn(uint64_t durable,
-                                    uint64_t logical_end) noexcept {
+void FlightRecorder::NoteDurableLsn(uint64_t durable) noexcept {
   Word64(kGlobalLsnOff + 0)->store(durable, std::memory_order_relaxed);
-  Word64(kGlobalLsnOff + 8)->store(logical_end, std::memory_order_relaxed);
 }
 
 void FlightRecorder::NoteStatusText(blackbox::StatusSlot slot,

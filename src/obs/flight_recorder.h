@@ -19,8 +19,8 @@ namespace cwdb {
 /// Crash-surviving black box (DESIGN.md §13): a small mmap'd MAP_SHARED
 /// file (`blackbox.bin`) in the database directory that mirrors the
 /// volatile diagnostic state a crash would otherwise destroy — the tail of
-/// the event-trace ring, the latest metrics sample, per-shard WAL staging
-/// frontiers and the durable LSN, the armed crash points, and the
+/// the event-trace ring, the latest metrics sample, the WAL's staged and
+/// durable LSN frontiers, the armed crash points, and the
 /// watchdog/SLO degradation strings. Because the mapping is shared, every
 /// store lands in the page cache immediately; a process death at any
 /// instant (SIGKILL, _exit at a crash point, a wild store taking the
@@ -58,8 +58,8 @@ inline constexpr uint64_t kHeaderBytes = 256;
 /// The header CRC covers only the immutable identity prefix; fields at or
 /// past kHeaderMutableOff (clean-shutdown flag) change after create.
 inline constexpr uint64_t kHeaderCrcBytes = 96;
-inline constexpr uint64_t kShardLsnOff = 256;    ///< kMaxShards u64 pairs.
-inline constexpr uint64_t kMaxShards = 64;
+/// [256, 1280) once held per-shard staged LSNs; it is reserved, neither
+/// written nor decoded.
 inline constexpr uint64_t kGlobalLsnOff = 1280;  ///< durable, logical end.
 inline constexpr uint64_t kStatusOff = 2048;     ///< 3 seqlock'd text slots.
 inline constexpr uint64_t kStatusSlotBytes = 512;
@@ -185,11 +185,12 @@ class FlightRecorder : public TraceSink {
   /// TraceSink: mirrors one published event into the mmap'd ring.
   void OnTraceEvent(const TraceEvent& e) noexcept override;
 
-  /// Last LSN staged by WAL append shard `shard` (one relaxed store).
-  void NoteStagedLsn(size_t shard, uint64_t lsn_end) noexcept;
+  /// End of the WAL tail after an append: the logical-end word (one
+  /// relaxed store, made by the appender only).
+  void NoteStagedLsn(uint64_t logical_end) noexcept;
 
-  /// Durable frontier / logical end after a group-commit round.
-  void NoteDurableLsn(uint64_t durable, uint64_t logical_end) noexcept;
+  /// Durable frontier after a group-commit round (one relaxed store).
+  void NoteDurableLsn(uint64_t durable) noexcept;
 
   /// Replaces one seqlock'd status text (armed crash points, watchdog
   /// degradation, SLO burn). Truncates to the slot size.

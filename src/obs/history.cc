@@ -1,5 +1,7 @@
 #include "obs/history.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -237,6 +239,7 @@ void MetricsHistory::Stop() {
 }
 
 void MetricsHistory::SamplerLoop() {
+  pthread_setname_np(pthread_self(), "cwdb-history");
   std::unique_lock<std::mutex> lock(sampler_mu_);
   while (!sampler_stop_) {
     lock.unlock();

@@ -107,10 +107,6 @@ Result<BlackBoxReport> DecodeBlackBox(const std::string& bytes) {
 
   r.durable_lsn = Read64(bytes, kGlobalLsnOff + 0);
   r.logical_end_lsn = Read64(bytes, kGlobalLsnOff + 8);
-  const uint64_t shards = std::min<uint64_t>(r.shard_count, kMaxShards);
-  for (uint64_t s = 0; s < shards; ++s) {
-    r.shard_staged_lsns.push_back(Read64(bytes, kShardLsnOff + s * 16));
-  }
 
   r.armed_crashpoints =
       ReadStatusSlot(bytes, StatusSlot::kArmedCrashpoints);
@@ -240,13 +236,6 @@ std::string RenderBlackBox(const BlackBoxReport& r) {
                 "log frontiers: durable=%" PRIu64 " logical_end=%" PRIu64 "\n",
                 r.durable_lsn, r.logical_end_lsn);
   out += line;
-  for (size_t s = 0; s < r.shard_staged_lsns.size(); ++s) {
-    if (r.shard_staged_lsns[s] == 0) continue;
-    std::snprintf(line, sizeof(line),
-                  "  wal shard %zu staged through lsn=%" PRIu64 "\n", s,
-                  r.shard_staged_lsns[s]);
-    out += line;
-  }
   out += "armed crash points: " +
          (r.armed_crashpoints.empty() ? std::string("(none)")
                                       : r.armed_crashpoints) +

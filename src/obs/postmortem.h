@@ -49,8 +49,7 @@ struct BlackBoxReport {
 
   // LSN frontiers as of death.
   uint64_t durable_lsn = 0;
-  uint64_t logical_end_lsn = 0;
-  std::vector<uint64_t> shard_staged_lsns;  ///< One per shard (<= 64).
+  uint64_t logical_end_lsn = 0;  ///< End of the staged WAL tail.
 
   // Status text (dropped when its seqlock was torn at death).
   std::string armed_crashpoints;

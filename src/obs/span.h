@@ -19,9 +19,9 @@ enum class SpanKind : uint8_t {
   kLockWait = 2,      ///< Blocked in LockManager::Acquire. a=table, b=slot.
   kReadPrecheck = 3,  ///< Codeword precheck on the read path. a=off, b=len.
   kCodewordFold = 4,  ///< Codeword maintenance at EndUpdate. a=off, b=len.
-  kWalStage = 5,      ///< Commit-record staging into the WAL shard buffer.
+  kWalStage = 5,      ///< Commit-record staging into the WAL log tail.
   kFlushWait = 6,     ///< Client-side wait inside SystemLog::Flush().
-  kQueueWait = 7,     ///< Batch publish -> drainer pop (drainer thread).
+  kQueueWait = 7,     ///< Staged in the tail -> drainer pickup (drainer).
   kDrainBatch = 8,    ///< Drainer write window covering the commit. a=bytes.
   kFsync = 9,         ///< The fsync that made the commit durable.
   kCommitAck = 10,    ///< Post-flush lock release + ATT retire.
@@ -65,7 +65,7 @@ struct SpanRecord {
 };
 
 /// Sampling decision plus addressing for one trace: carried by value on the
-/// transaction (and on WAL queue entries for the cross-thread hop). A
+/// transaction (and on WAL trace tags for the cross-thread hop). A
 /// default-constructed context is unsampled; every instrumentation site
 /// guards on sampled(), which is a single pointer test — the whole span
 /// layer costs one branch per site when tracing is off.

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -168,6 +169,7 @@ void StatsServer::Stop() {
 }
 
 void StatsServer::Serve() {
+  pthread_setname_np(pthread_self(), "cwdb-stats");
   while (running_.load(std::memory_order_acquire)) {
     struct pollfd fds[2];
     fds[0] = {listen_fd_, POLLIN, 0};

@@ -1,5 +1,7 @@
 #include "obs/watchdog.h"
 
+#include <pthread.h>
+
 #include <cinttypes>
 #include <cstdio>
 
@@ -120,6 +122,7 @@ std::string Watchdog::DegradedReason() const {
 }
 
 void Watchdog::Loop() {
+  pthread_setname_np(pthread_self(), "cwdb-watchdog");
   std::unique_lock<std::mutex> guard(mu_);
   while (!stop_) {
     uint64_t interval = poll_interval_ms_;

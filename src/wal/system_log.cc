@@ -1,12 +1,12 @@
 #include "wal/system_log.h"
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 
@@ -22,20 +22,6 @@ namespace cwdb {
 namespace {
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc.
-
-/// A shard publishes its staged frames to the drainer queue once they pass
-/// this size, so a long transaction's redo streams out incrementally
-/// instead of arriving as one giant batch at commit.
-constexpr size_t kPublishThresholdBytes = 32 << 10;
-
-/// Upper bound on one pwrite chunk. A round with a larger backlog writes
-/// multiple chunks (and only fsyncs after the last one it needs).
-constexpr size_t kMaxWriteChunkBytes = 4 << 20;
-
-/// Capacity of the lock-free batch queue (batches, not bytes). At the
-/// publish threshold this is ~32 MB of backlog before producers have to
-/// yield to the drainer.
-constexpr size_t kQueueCapacity = 1024;
 
 /// The stable file is zero-extended this far past the write frontier
 /// before frames land there. A small append-then-fdatasync to an
@@ -57,18 +43,44 @@ constexpr auto kDallyDeadline = std::chrono::microseconds(300);
 /// a chunk is read whole).
 constexpr uint64_t kReadChunkBytes = 1 << 20;
 
+/// Appends the [len][crc32c][payload] frame of `payload` to `out`.
+void PutFrame(std::string* out, Slice payload) {
+  // Empty frames are indistinguishable from preallocated zeros on disk
+  // (Crc32c of nothing is 0), so the recovery scan treats a zero header as
+  // end of log; staging one would silently end the log early.
+  CWDB_DCHECK(!payload.empty()) << "empty log payload";
+  PutFixed32(out, static_cast<uint32_t>(payload.size()));
+  PutFixed32(out, Crc32c(payload.data(), payload.size()));
+  out->append(payload.data(), payload.size());
+}
+
+/// Moves the contents of `from` onto the end of `to`, leaving `from`
+/// empty. When `to` is empty the two swap, so both keep their capacity.
+template <typename Buffer>
+void TakeAll(Buffer* to, Buffer* from) {
+  if (to->empty()) {
+    to->swap(*from);
+  } else {
+    to->insert(to->end(), from->begin(), from->end());
+  }
+  from->clear();
+}
+
 }  // namespace
 
-SystemLog::SystemLog(std::string path, int fd, uint64_t stable_size,
-                     MetricsRegistry* metrics, size_t shards)
+SystemLog::SystemLog(std::string path, int fd, const WalTailScan& scan,
+                     MetricsRegistry* metrics, FlightRecorder* recorder)
     : path_(std::move(path)),
       fd_(fd),
+      tail_scan_(scan),
       metrics_(FallbackRegistry(metrics, &own_metrics_)),
-      logical_end_(stable_size),
-      durable_(stable_size),
-      queue_(kQueueCapacity),
-      write_pos_(stable_size),
-      alloc_end_(stable_size) {
+      recorder_(recorder),
+      logical_end_(scan.valid_bytes),
+      durable_(scan.valid_bytes),
+      write_pos_(scan.valid_bytes),
+      alloc_end_(scan.file_bytes),
+      trim_tail_(scan.tail == WalTail::kTorn ||
+                 scan.tail == WalTail::kDamaged) {
   ins_.appends = metrics_->counter("wal.appends");
   ins_.bytes_appended = metrics_->counter("wal.bytes_appended");
   ins_.flushes = metrics_->counter("wal.flushes");
@@ -77,16 +89,6 @@ SystemLog::SystemLog(std::string path, int fd, uint64_t stable_size,
   ins_.tail_bytes = metrics_->gauge("wal.tail_bytes");
   ins_.flush_latency_ns = metrics_->histogram("wal.flush_latency_ns");
   ins_.flush_batch_bytes = metrics_->histogram("wal.flush_batch_bytes");
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<AppendShard>();
-    char name[48];
-    std::snprintf(name, sizeof(name), "wal.shard%zu.appends", s);
-    shard->appends = metrics_->counter(name);
-    shard->index = s;
-    shards_.push_back(std::move(shard));
-  }
   drainer_ = std::thread([this] { DrainerLoop(); });
 }
 
@@ -102,7 +104,6 @@ SystemLog::~SystemLog() {
 
 Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
                                                    MetricsRegistry* metrics,
-                                                   size_t shards,
                                                    FlightRecorder* recorder) {
   WalTailScan scan;
   {
@@ -111,127 +112,74 @@ Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
     scan = reader->ScanTail();
     CWDB_RETURN_IF_ERROR(reader->status());
   }
-  const uint64_t stable = scan.valid_bytes;
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
-  // Physically drop any torn tail so appends continue from the valid prefix.
-  if (stable < scan.file_bytes) {
-    if (::ftruncate(fd, static_cast<off_t>(stable)) != 0) {
-      Status s =
-          Status::IoError("ftruncate " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return s;
-    }
-  }
   auto log = std::unique_ptr<SystemLog>(
-      new SystemLog(path, fd, stable, metrics, shards));
-  log->recorder_ = recorder;
+      new SystemLog(path, fd, scan, metrics, recorder));
   if (recorder != nullptr) {
     // Seed the black box's frontiers with the recovered stable state so a
     // crash before the first append still reads sensibly.
-    recorder->NoteDurableLsn(stable, stable);
+    recorder->NoteStagedLsn(scan.valid_bytes);
+    recorder->NoteDurableLsn(scan.valid_bytes);
   }
-  log->tail_scan_ = scan;
   if (scan.damaged()) {
     // The caller (Database recovery) files the incident dossier; the
     // counter and trace entry are recorded here so standalone opens (tools,
     // tests) still leave evidence.
     log->metrics_->counter("wal.crc_damaged_tail")->Add();
-    log->metrics_->trace().Record(TraceEventType::kWalTailDamage, stable,
-                                  scan.damage_off, scan.file_bytes);
+    log->metrics_->trace().Record(TraceEventType::kWalTailDamage,
+                                  scan.valid_bytes, scan.damage_off,
+                                  scan.file_bytes);
   }
   return log;
 }
 
-size_t SystemLog::ShardIndex() const {
-  // Round-robin thread-to-shard assignment, sticky per thread: appends by
-  // one thread always stage in order on one shard, which (with the LSN
-  // fetch_add under the shard mutex) keeps every shard buffer LSN-sorted.
-  static std::atomic<size_t> next_token{0};
-  thread_local size_t token =
-      next_token.fetch_add(1, std::memory_order_relaxed);
-  return token % shards_.size();
-}
-
-Lsn SystemLog::StageFrameLocked(AppendShard& sh, Slice payload) {
-  // Empty frames are indistinguishable from preallocated zeros on disk
-  // (Crc32c of nothing is 0), so the recovery scan treats a zero header as
-  // end of log; staging one would silently end the log early.
-  CWDB_DCHECK(!payload.empty()) << "empty log payload";
-  const uint64_t frame_bytes = kFrameHeaderBytes + payload.size();
-  Lsn lsn = logical_end_.fetch_add(frame_bytes, std::memory_order_acq_rel);
-  std::string frame;
-  frame.reserve(frame_bytes);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.append(payload.data(), payload.size());
-  sh.frames.emplace_back(lsn, std::move(frame));
-  sh.bytes += frame_bytes;
-  ins_.bytes_appended->Add(frame_bytes);
-  if (recorder_ != nullptr) {
+Lsn SystemLog::Stage(const std::string& frames, size_t count,
+                     const SpanContext* trace) {
+  // The queue-wait clock starts at staging: the tag waits in the tail for
+  // the drainer to swap it out.
+  const bool traced = trace != nullptr && trace->sampled();
+  const uint64_t staged_ns = traced ? NowNs() : 0;
+  Lsn lsn;
+  {
+    std::lock_guard<std::mutex> guard(tail_mu_);
+    lsn = logical_end_.load(std::memory_order_relaxed);
+    const Lsn end = lsn + frames.size();
+    tail_.append(frames);
+    logical_end_.store(end, std::memory_order_release);
+    if (traced) tail_tags_.push_back(WalTraceTag{*trace, staged_ns, end});
     // Mirror the staged frontier into the black box: one relaxed store on
-    // a path that already holds the shard mutex — no new synchronization.
-    recorder_->NoteStagedLsn(sh.index, lsn + frame_bytes);
+    // a path that already holds the tail mutex.
+    if (recorder_ != nullptr) recorder_->NoteStagedLsn(end);
   }
-  return lsn;
-}
-
-void SystemLog::PublishLocked(AppendShard& sh) {
-  if (sh.frames.empty()) return;
-  auto batch = std::make_unique<Batch>();
-  batch->frames = std::move(sh.frames);
-  batch->tags = std::move(sh.tags);
-  sh.frames.clear();
-  sh.tags.clear();
-  sh.bytes = 0;
-  // The queue-wait clock starts now: the tag is in flight to the drainer.
-  if (!batch->tags.empty()) {
-    const uint64_t now = NowNs();
-    for (WalTraceTag& tag : batch->tags) tag.publish_ns = now;
-  }
-  // The queue is bounded; when it is full the drainer is far behind, so
-  // yielding to it is the right (and rare) backpressure.
-  while (!queue_.TryPush(batch.get())) std::this_thread::yield();
-  batch.release();
-}
-
-Lsn SystemLog::Append(Slice payload) {
-  AppendShard& sh = *shards_[ShardIndex()];
-  std::lock_guard<std::mutex> guard(sh.mu);
-  Lsn lsn = StageFrameLocked(sh, payload);
-  ins_.appends->Add();
-  sh.appends->Add();
-  if (sh.bytes >= kPublishThresholdBytes) PublishLocked(sh);
+  ins_.appends->Add(count);
+  ins_.bytes_appended->Add(frames.size());
   ins_.tail_bytes->Set(static_cast<int64_t>(
       logical_end_.load(std::memory_order_relaxed) -
       durable_.load(std::memory_order_relaxed)));
   return lsn;
+}
+
+Lsn SystemLog::Append(Slice payload) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  PutFrame(&frame, payload);
+  return Stage(frame, 1, nullptr);
 }
 
 Lsn SystemLog::AppendAll(const std::vector<std::string>& payloads,
                          const SpanContext* trace) {
   if (payloads.empty()) return CurrentLsn();
-  AppendShard& sh = *shards_[ShardIndex()];
-  std::lock_guard<std::mutex> guard(sh.mu);
-  Lsn first = kInvalidLsn;
-  Lsn end = 0;
+  size_t bytes = 0;
   for (const std::string& payload : payloads) {
-    Lsn lsn = StageFrameLocked(sh, payload);
-    if (first == kInvalidLsn) first = lsn;
-    end = lsn + kFrameHeaderBytes + payload.size();
+    bytes += kFrameHeaderBytes + payload.size();
   }
-  if (trace != nullptr && trace->sampled()) {
-    sh.tags.push_back(WalTraceTag{*trace, 0, end});
-  }
-  ins_.appends->Add(payloads.size());
-  sh.appends->Add(payloads.size());
-  if (sh.bytes >= kPublishThresholdBytes) PublishLocked(sh);
-  ins_.tail_bytes->Set(static_cast<int64_t>(
-      logical_end_.load(std::memory_order_relaxed) -
-      durable_.load(std::memory_order_relaxed)));
-  return first;
+  std::string frames;
+  frames.reserve(bytes);
+  for (const std::string& payload : payloads) PutFrame(&frames, payload);
+  return Stage(frames, payloads.size(), trace);
 }
 
 Status SystemLog::Preallocate(uint64_t new_end) {
@@ -252,17 +200,12 @@ Status SystemLog::Preallocate(uint64_t new_end) {
 }
 
 Status SystemLog::Flush() {
-  // Everything appended before this call has an LSN below `target` (the
-  // fetch_add happened before this load), and its frame reached its shard
-  // buffer under the shard mutex — so the sweep below is guaranteed to see
-  // it. Frames appended concurrently get LSNs at or above target and may
-  // ride along; they never create a gap below it.
+  // Everything appended before this call has an LSN below `target`, and
+  // its bytes entered the tail in the same tail_mu_ section that advanced
+  // logical_end_ — so the drainer's next swap, which takes tail_mu_ after
+  // it sees this registration, carries them.
   const Lsn target = logical_end_.load(std::memory_order_acquire);
   if (target <= durable_.load(std::memory_order_acquire)) return Status::OK();
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    PublishLocked(*shard);
-  }
   std::unique_lock<std::mutex> guard(drain_mu_);
   const uint64_t my_req = ++request_seq_;
   if (flush_target_ < target) flush_target_ = target;
@@ -280,6 +223,7 @@ Status SystemLog::Flush() {
 }
 
 void SystemLog::DrainerLoop() {
+  pthread_setname_np(pthread_self(), "cwdb-wal");
   std::unique_lock<std::mutex> guard(drain_mu_);
   for (;;) {
     drain_cv_.wait(guard, [&] {
@@ -311,51 +255,6 @@ void SystemLog::DrainerLoop() {
       }
     }
 
-    // Merge everything queued so far into the reorder buffer. Trace tags
-    // close their queue-wait span here (publish -> pop is the cross-thread
-    // hop) and park in traced_ until the durable frontier passes them.
-    bool popped = false;
-    Batch* batch = nullptr;
-    while (queue_.TryPop(&batch)) {
-      popped = true;
-      for (auto& f : batch->frames) {
-        pending_.emplace(f.first, std::move(f.second));
-      }
-      if (!batch->tags.empty()) {
-        const uint64_t now = NowNs();
-        for (WalTraceTag& tag : batch->tags) {
-          tag.ctx.tracer->Record(tag.ctx, SpanKind::kQueueWait, tag.publish_ns,
-                                 now, tag.end_lsn, 0);
-          traced_.push_back(tag);
-        }
-      }
-      delete batch;
-    }
-
-    // Coalesce the contiguous prefix at write_pos_ into one write chunk.
-    // Writing only the contiguous prefix keeps the on-disk file a valid
-    // frame prefix plus at most one torn frame at every instant — the
-    // shape LogReader::ScanTail's torn-vs-damaged classification relies on.
-    std::string chunk;
-    auto end_it = pending_.begin();
-    const uint64_t base = write_pos_;
-    uint64_t pos = base;
-    while (end_it != pending_.end() && end_it->first == pos &&
-           chunk.size() < kMaxWriteChunkBytes) {
-      chunk.append(end_it->second);
-      pos += end_it->second.size();
-      ++end_it;
-    }
-    const bool do_sync = pos >= flush_target_;
-    if (chunk.empty() && !do_sync) {
-      // Transient gap: a publisher has reserved LSNs at write_pos_ but its
-      // TryPush has not landed yet. Yield briefly and re-pop.
-      if (!popped) {
-        drain_cv_.wait_for(guard, std::chrono::microseconds(20));
-      }
-      continue;
-    }
-
     // Latch the round: remember how many registrations it absorbs (the
     // next dally's burst-size estimate) and start counting piggybacks.
     last_round_reqs_ = request_seq_ - last_latch_seq_;
@@ -363,28 +262,66 @@ void SystemLog::DrainerLoop() {
     piggybacks_last_round_ = round_piggybacks_;
     round_piggybacks_ = 0;
     in_round_ = true;
+
+    // Swap the tail out. Every registered target is at or below the
+    // logical end seen here, so this round's sync covers all of them. The
+    // tags close their queue-wait span here (staged -> picked up is the
+    // cross-thread hop) and wait in traced_ for the sync.
+    size_t picked = traced_.size();
+    {
+      std::lock_guard<std::mutex> tail_guard(tail_mu_);
+      TakeAll(&out_, &tail_);
+      TakeAll(&traced_, &tail_tags_);
+    }
+    if (picked < traced_.size()) {
+      const uint64_t now = NowNs();
+      for (; picked < traced_.size(); ++picked) {
+        const WalTraceTag& tag = traced_[picked];
+        tag.ctx.tracer->Record(tag.ctx, SpanKind::kQueueWait, tag.staged_ns,
+                               now, tag.end_lsn, 0);
+      }
+    }
     guard.unlock();
 
+    // out_, write_pos_, alloc_end_ and trim_tail_ belong to the drainer
+    // while in_round_ is set.
     const uint64_t t0 = NowNs();
+    const uint64_t written = out_.size();
+    const uint64_t end = write_pos_ + written;
     Status io;
-    bool wrote_ok = true;
-    if (!chunk.empty() && base + chunk.size() + kFrameHeaderBytes >
-                              alloc_end_) {
+    if (trim_tail_) {
+      // Cut off the torn or damaged bytes Open found past the valid
+      // prefix before preallocating over them, so no stale frame can
+      // survive past the new zero tail.
+      if (::ftruncate(fd_, static_cast<off_t>(write_pos_)) != 0) {
+        io = Status::IoError("ftruncate " + path_ + ": " +
+                             std::strerror(errno));
+      } else {
+        trim_tail_ = false;
+        alloc_end_ = write_pos_;
+      }
+    }
+    if (io.ok() && written != 0 && end + kFrameHeaderBytes > alloc_end_) {
       // Zero-extend a full stride past the frontier so this round's
       // fdatasync is the only one that pays the allocation's journal
       // commit; the rounds that follow sync pure data. A crash between
       // the extension and the sync leaves a zero tail (or a shorter
       // file), both of which LogReader::ScanTail reads as clean end of log.
-      io = Preallocate(base + chunk.size() + kPreallocChunkBytes);
-      wrote_ok = io.ok();
+      io = Preallocate(end + kPreallocChunkBytes);
     }
-    if (io.ok() && !chunk.empty()) {
-      io = crashpoint::InjectedPWrite("wal.flush.pwrite", fd_, chunk.data(),
-                                      chunk.size(), base);
-      wrote_ok = io.ok();
+    if (io.ok() && written != 0) {
+      io = crashpoint::InjectedPWrite("wal.flush.pwrite", fd_, out_.data(),
+                                      written, write_pos_);
+    }
+    if (io.ok()) {
+      // The bytes are in the file (synced or not) and need never be
+      // rewritten, so a failed fsync retries as a pure-sync round. After a
+      // failed write out_ keeps them for the retry, at the same position.
+      write_pos_ = end;
+      out_.clear();
     }
     const uint64_t t_write_end = NowNs();
-    if (io.ok() && do_sync) {
+    if (io.ok()) {
       io = crashpoint::Check("wal.flush.fdatasync");
       if (io.ok() && ::fdatasync(fd_) != 0) {
         io = Status::IoError("fdatasync " + path_ + ": " +
@@ -395,53 +332,34 @@ void SystemLog::DrainerLoop() {
 
     guard.lock();
     in_round_ = false;
-    if (wrote_ok && !chunk.empty()) {
-      // The bytes are in the file (synced or not); the frames need never
-      // be rewritten, so a failed fsync retries as a pure-sync round.
-      write_pos_ = pos;
-      pending_.erase(pending_.begin(), end_it);
-    }
     if (io.ok()) {
-      if (do_sync) {
-        const uint64_t advance =
-            write_pos_ - durable_.load(std::memory_order_relaxed);
-        durable_.store(write_pos_, std::memory_order_release);
-        if (recorder_ != nullptr) {
-          recorder_->NoteDurableLsn(
-              write_pos_, logical_end_.load(std::memory_order_relaxed));
+      const uint64_t advance =
+          write_pos_ - durable_.load(std::memory_order_relaxed);
+      durable_.store(write_pos_, std::memory_order_release);
+      if (recorder_ != nullptr) recorder_->NoteDurableLsn(write_pos_);
+      ins_.flushes->Add();
+      ins_.flush_latency_ns->Record(NowNs() - t0);
+      ins_.flush_batch_bytes->Record(advance);
+      ins_.tail_bytes->Set(static_cast<int64_t>(
+          logical_end_.load(std::memory_order_relaxed) - write_pos_));
+      metrics_->trace().Record(TraceEventType::kGroupCommitFlush, write_pos_,
+                               advance, 0);
+      // Every tag was swapped out with bytes this round made durable: each
+      // gets its drainer-side write and fsync spans (children of the
+      // originating commit's flush-wait span) and retires.
+      for (const WalTraceTag& tag : traced_) {
+        if (written != 0) {
+          tag.ctx.tracer->Record(tag.ctx, SpanKind::kDrainBatch, t0,
+                                 t_write_end, written, 0);
         }
-        ins_.flushes->Add();
-        ins_.flush_latency_ns->Record(NowNs() - t0);
-        ins_.flush_batch_bytes->Record(advance);
-        ins_.tail_bytes->Set(static_cast<int64_t>(
-            logical_end_.load(std::memory_order_relaxed) - write_pos_));
-        metrics_->trace().Record(TraceEventType::kGroupCommitFlush,
-                                 write_pos_, advance, 0);
-        if (!traced_.empty()) {
-          // Tags whose frames this round made durable get their drainer-side
-          // write and fsync spans (children of the originating commit's
-          // flush-wait span) and retire; tags beyond the frontier wait for
-          // a later round.
-          auto keep = traced_.begin();
-          for (auto it = traced_.begin(); it != traced_.end(); ++it) {
-            if (it->end_lsn > write_pos_) {
-              *keep++ = *it;
-              continue;
-            }
-            if (!chunk.empty()) {
-              it->ctx.tracer->Record(it->ctx, SpanKind::kDrainBatch, t0,
-                                     t_write_end, chunk.size(), 0);
-            }
-            it->ctx.tracer->Record(it->ctx, SpanKind::kFsync, t_write_end,
-                                   t_sync_end, advance, 0);
-          }
-          traced_.erase(keep, traced_.end());
-        }
+        tag.ctx.tracer->Record(tag.ctx, SpanKind::kFsync, t_write_end,
+                               t_sync_end, advance, 0);
       }
+      traced_.clear();
     } else {
       // One failure per round, however many waiters it disappoints; the
-      // frames stay staged at their LSNs, so the retry (triggered by the
-      // next Flush call) covers the batch exactly once.
+      // bytes stay with the drainer at their LSNs, so the retry (triggered
+      // by the next Flush call) covers the batch exactly once.
       ins_.flush_failures->Add();
       last_error_ = io;
       error_seq_ = request_seq_;
@@ -452,31 +370,30 @@ void SystemLog::DrainerLoop() {
 }
 
 void SystemLog::DiscardTail() {
-  // Volatile staging dies first (what a process failure loses)...
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    shard->frames.clear();
-    shard->tags.clear();
-    shard->bytes = 0;
-  }
+  // Wait out any in-flight I/O round, then drop everything that is not
+  // durable — the tail, bytes kept for a retry, and written-but-unsynced
+  // bytes: a crash loses unsynced bytes too, so the conservative
+  // simulation truncates back to the fsync'd prefix.
   std::unique_lock<std::mutex> guard(drain_mu_);
-  // ...then wait out any in-flight I/O round and drop everything that is
-  // written but not yet durable: a crash loses unsynced bytes too, so the
-  // conservative simulation truncates back to the fsync'd prefix.
   flush_cv_.wait(guard, [&] { return !in_round_; });
-  Batch* batch = nullptr;
-  while (queue_.TryPop(&batch)) delete batch;
-  pending_.clear();
-  traced_.clear();
   const uint64_t durable = durable_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> tail_guard(tail_mu_);
+    tail_.clear();
+    tail_tags_.clear();
+    logical_end_.store(durable, std::memory_order_release);
+    if (recorder_ != nullptr) recorder_->NoteStagedLsn(durable);
+  }
+  out_.clear();
+  traced_.clear();
   if (write_pos_ > durable || alloc_end_ > durable) {
     CWDB_CHECK(::ftruncate(fd_, static_cast<off_t>(durable)) == 0)
         << "ftruncate " << path_ << ": " << std::strerror(errno);
   }
   alloc_end_ = durable;
   write_pos_ = durable;
+  trim_tail_ = false;
   flush_target_ = durable;
-  logical_end_.store(durable, std::memory_order_release);
   ins_.tail_bytes->Set(0);
 }
 

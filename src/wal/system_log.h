@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,21 +15,20 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "wal/log_record.h"
-#include "wal/mpmc_queue.h"
 
 namespace cwdb {
 
 class FlightRecorder;
 
-/// Trace tag riding a published batch through the group-commit queue (the
-/// cross-thread hop of a sampled commit's trace): the commit's span
-/// context — already re-parented at the client-side flush-wait span — the
-/// publish timestamp, and the LSN one past the tagged frames, so the
-/// drainer can attach queue-wait / write / fsync spans to the originating
-/// trace and fire them when the durable frontier passes `end_lsn`.
+/// Trace tag staged with a sampled commit's frames (the cross-thread hop
+/// of its trace): the commit's span context — already re-parented at the
+/// client-side flush-wait span — the staging timestamp, and the LSN one
+/// past the tagged frames. The drainer records queue-wait (staged → picked
+/// up) when it swaps the tag out and write / fsync once the round that
+/// carries `end_lsn` is durable.
 struct WalTraceTag {
   SpanContext ctx;
-  uint64_t publish_ns = 0;
+  uint64_t staged_ns = 0;
   Lsn end_lsn = 0;
 };
 
@@ -48,79 +46,77 @@ enum class WalTail : uint8_t { kClean, kPreallocated, kTorn, kDamaged };
 /// LogReader::ScanTail's verdict, kept by SystemLog::Open.
 struct WalTailScan {
   uint64_t valid_bytes = 0;  ///< End of the valid frame prefix.
-  uint64_t file_bytes = 0;   ///< File size before truncation.
+  uint64_t file_bytes = 0;   ///< File size at open.
   WalTail tail = WalTail::kClean;
   uint64_t damage_off = 0;   ///< First bad frame offset when damaged.
 
   bool damaged() const { return tail == WalTail::kDamaged; }
 };
 
-/// The system log (paper §2.1): in-memory append staging plus a stable log
+/// The system log (paper §2.1): one in-memory log tail plus a stable log
 /// file on disk. Redo records are appended when operations commit; the
-/// staged frames are made durable at transaction commit and at checkpoints.
+/// tail is made durable at transaction commit and at checkpoints.
 ///
-/// Sharded append path: LSNs are assigned by a single fetch-and-add on the
-/// logical end of the log, but the encoded frames are staged in per-shard
-/// buffers (the calling thread picks a shard once and sticks to it), so
-/// concurrent appenders on different shards never touch the same mutex.
-/// This is sound because the transaction layer moves an operation's redo to
-/// the system log *before* releasing the operation's locks (§2.1): any two
-/// conflicting operations are already serialized when they append, so their
-/// LSN order equals their conflict order no matter which shard staged them.
+/// Append path: callers frame their payloads outside any lock, then one
+/// mutex covers only the LSN assignment (LSN = logical end of the log),
+/// the byte append to the tail and the trace tag. This is sound because the
+/// transaction layer moves an operation's redo to the system log *before*
+/// releasing the operation's locks (§2.1): conflicting operations append in
+/// conflict order, and tail order is LSN order.
 ///
-/// Group commit: staged batches flow through a lock-free MPMC queue to one
-/// drainer thread, which reorders them by LSN, writes only the contiguous
-/// prefix of the log (so the on-disk file is always a valid prefix plus at
-/// most one torn frame) and issues a single fdatasync per round. Flush()
-/// registers a durability target and waits; every Flush caller that arrives
-/// while a round is in flight piggybacks on its fsync.
+/// Group commit: one drainer thread swaps the whole tail out under that
+/// mutex (the buffers keep their capacity), writes it at the write
+/// position — so the on-disk file is always a valid prefix plus at most one
+/// torn frame — and issues a single fdatasync per round. Flush() registers
+/// a durability target and waits; every Flush caller that arrives while a
+/// round is in flight piggybacks on its fsync.
 ///
-/// Framing on disk and in staging: [u32 payload_len][u32 crc32c][payload].
+/// Framing on disk and in the tail: [u32 payload_len][u32 crc32c][payload].
 /// The LSN of a record is the byte offset of its frame; a torn final frame
 /// after a crash is detected by the CRC and treated as the end of log.
 class SystemLog {
  public:
   /// Opens (creating if needed) the stable log at `path`. Scans existing
-  /// contents to find the end of the valid prefix; a torn tail is truncated
-  /// physically (appends continue from the valid prefix). Flush latency,
-  /// batch sizes and append volume are reported into `metrics` (nullptr = a
-  /// private registry, for standalone construction in tests). `shards` is
-  /// the number of append staging buffers (1 = a single buffer, the
-  /// pre-sharding behavior). `recorder`, when given, mirrors the staged and
-  /// durable LSN frontiers into the crash-surviving black box on the
-  /// existing hot-path stores (two relaxed writes per event, no new locks).
+  /// contents to find the end of the valid prefix; appends continue from
+  /// there. Open reads and classifies only: the file is not changed until
+  /// the drainer's first write round, which cuts a torn or damaged tail off
+  /// before it writes (a preallocated zero tail is kept and reused). Flush
+  /// latency, batch sizes and append volume are reported into `metrics`
+  /// (nullptr = a private registry, for standalone construction in tests).
+  /// `recorder`, when given, mirrors the staged and durable LSN frontiers
+  /// into the crash-surviving black box (one relaxed store per event).
   static Result<std::unique_ptr<SystemLog>> Open(
       const std::string& path, MetricsRegistry* metrics = nullptr,
-      size_t shards = 1, FlightRecorder* recorder = nullptr);
+      FlightRecorder* recorder = nullptr);
 
   ~SystemLog();
   SystemLog(const SystemLog&) = delete;
   SystemLog& operator=(const SystemLog&) = delete;
 
-  /// Appends one encoded record payload to this thread's staging shard.
-  /// Returns the record's LSN. Thread-safe.
+  /// Appends one encoded record payload to the tail. Returns the record's
+  /// LSN. Thread-safe.
   Lsn Append(Slice payload);
 
-  /// Appends several payloads as one staging operation: one LSN reservation
-  /// and one shard-mutex acquisition for the lot, and the frames occupy
-  /// contiguous LSNs. Returns the LSN of the first payload (CurrentLsn()
-  /// when `payloads` is empty). Used by operation commit, which moves the
-  /// whole local redo buffer at once. When `trace` is a sampled span
-  /// context, a WalTraceTag rides the staged frames through the
-  /// group-commit queue so the drainer-side spans attach to the trace.
+  /// Appends several payloads as one staging operation: one tail-mutex
+  /// acquisition for the lot, and the frames occupy contiguous LSNs.
+  /// Returns the LSN of the first payload (CurrentLsn() when `payloads` is
+  /// empty). Used by operation commit, which moves the whole local redo
+  /// buffer at once. When `trace` is a sampled span context, a WalTraceTag
+  /// is staged with the frames so the drainer-side spans attach to the
+  /// trace.
   Lsn AppendAll(const std::vector<std::string>& payloads,
                 const SpanContext* trace = nullptr);
 
   /// Makes every record appended before this call durable. Group commit:
-  /// the drainer thread writes the whole pending prefix and fsyncs once
-  /// per round while appenders keep running; concurrent flushers piggyback
-  /// on the in-flight round instead of issuing their own fsync. (The paper
+  /// the drainer thread writes the whole tail and fsyncs once per round
+  /// while appenders keep running; concurrent flushers piggyback on the
+  /// in-flight round instead of issuing their own fsync. (The paper
   /// commits every 500 operations precisely to keep commit cost off the
   /// critical path — §5.2 fn. 3 avoids group commit in the *benchmark*;
   /// the engine supports it.)
   Status Flush();
 
-  /// LSN one past the last appended record (staged frames included).
+  /// LSN one past the last appended record (the tail included).
   Lsn CurrentLsn() const {
     return logical_end_.load(std::memory_order_acquire);
   }
@@ -139,57 +135,32 @@ class SystemLog {
     return flush_target_ > durable_.load(std::memory_order_relaxed);
   }
 
-  /// Crash simulation: discards everything not yet durable — staged
-  /// frames, queued batches, and written-but-unsynced bytes — exactly what
-  /// a process failure would lose. Requires external quiescence (no
-  /// concurrent Append/Flush).
+  /// Crash simulation: discards everything not yet durable — the tail,
+  /// swapped-out bytes awaiting a retry, and written-but-unsynced bytes —
+  /// exactly what a process failure would lose. Requires external
+  /// quiescence (no concurrent Append/Flush).
   void DiscardTail();
 
-  /// Classification of what Open() found at the end of the stable file
-  /// (before truncating it back to the valid prefix).
+  /// Classification of what Open() found at the end of the stable file.
   const WalTailScan& tail_scan() const { return tail_scan_; }
 
   /// Total bytes appended since open (read-log volume studies).
   uint64_t bytes_appended() const { return ins_.bytes_appended->Value(); }
   uint64_t flush_count() const { return ins_.flushes->Value(); }
-  /// Flush rounds that failed with an I/O error; the frames stay staged at
-  /// their LSNs and the next Flush() covers them exactly once.
+  /// Flush rounds that failed with an I/O error; the bytes stay with the
+  /// drainer at their LSNs and the next Flush() covers them exactly once.
   uint64_t flush_failures() const { return ins_.flush_failures->Value(); }
 
  private:
-  /// One publication unit: frames staged by one shard, in LSN order, plus
-  /// the trace tags of any sampled commits among them.
-  struct Batch {
-    std::vector<std::pair<Lsn, std::string>> frames;
-    std::vector<WalTraceTag> tags;
-  };
+  SystemLog(std::string path, int fd, const WalTailScan& scan,
+            MetricsRegistry* metrics, FlightRecorder* recorder);
 
-  /// Per-shard append staging. Appenders on different shards share nothing
-  /// but the LSN counter (one fetch_add) and the lock-free queue.
-  struct alignas(64) AppendShard {
-    std::mutex mu;
-    std::vector<std::pair<Lsn, std::string>> frames;
-    std::vector<WalTraceTag> tags;
-    size_t bytes = 0;
-    size_t index = 0;  ///< Position in shards_, for black-box attribution.
-    Counter* appends = nullptr;
-  };
+  /// Moves framed bytes (`count` frames) into the tail under tail_mu_ and
+  /// returns the LSN of the first.
+  Lsn Stage(const std::string& frames, size_t count,
+            const SpanContext* trace);
 
-  SystemLog(std::string path, int fd, uint64_t stable_size,
-            MetricsRegistry* metrics, size_t shards);
-
-  /// The calling thread's staging shard (round-robin assignment at first
-  /// use, sticky thereafter).
-  size_t ShardIndex() const;
-
-  /// Stages one frame into `sh` (sh.mu held) and returns its LSN.
-  Lsn StageFrameLocked(AppendShard& sh, Slice payload);
-
-  /// Moves sh's staged frames into the MPMC queue (sh.mu held).
-  void PublishLocked(AppendShard& sh);
-
-  /// Drainer thread: merges queued batches, writes the contiguous prefix,
-  /// fsyncs on demand.
+  /// Drainer thread: swaps the tail out, writes it, fsyncs on demand.
   void DrainerLoop();
 
   /// Zero-extends the stable file to `new_end` (drainer only). Writing real
@@ -213,30 +184,36 @@ class SystemLog {
   WalTailScan tail_scan_;
   std::unique_ptr<MetricsRegistry> own_metrics_;
   MetricsRegistry* metrics_;
-  FlightRecorder* recorder_ = nullptr;  ///< May be null (no black box).
+  FlightRecorder* recorder_;  ///< May be null (no black box).
   Instruments ins_;
 
-  /// Next LSN to assign; advanced by fetch_add under the owning shard's mu
-  /// (the mu makes "LSN order == buffer order" hold within a shard).
+  /// The log tail, guarded by tail_mu_: the frames at LSNs
+  /// [logical_end_ - tail_.size(), logical_end_), and the trace tags of
+  /// the sampled commits among them.
+  std::mutex tail_mu_;
+  std::string tail_;
+  std::vector<WalTraceTag> tail_tags_;
+  /// Next LSN to assign; written under tail_mu_, read lock-free.
   std::atomic<uint64_t> logical_end_;
   /// End of the durable prefix. Written by the drainer under drain_mu_,
-  /// read lock-free by CurrentLsn()/end_of_stable_log()/Append.
+  /// read lock-free by end_of_stable_log()/Flush.
   std::atomic<uint64_t> durable_;
 
-  std::vector<std::unique_ptr<AppendShard>> shards_;
-  MpmcQueue<Batch*> queue_;
-
-  /// Drainer state, guarded by drain_mu_.
+  /// Drainer state, guarded by drain_mu_ (taken before tail_mu_).
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;  ///< Wakes the drainer.
   std::condition_variable flush_cv_;  ///< Wakes Flush waiters.
-  std::map<Lsn, std::string> pending_;  ///< Reorder buffer, keyed by LSN.
-  /// Tags popped from the queue, waiting for the durable frontier to pass
-  /// their end_lsn (at which point the drainer emits their write/fsync
-  /// spans and retires them). Guarded by drain_mu_.
+  /// Swapped-out tail bytes not yet written, starting at write_pos_; kept
+  /// across a failed pwrite so the retry writes them once at their LSNs.
+  std::string out_;
+  /// Tags swapped out with out_ (or earlier), waiting for the round that
+  /// makes them durable to emit their write/fsync spans.
   std::vector<WalTraceTag> traced_;
   uint64_t write_pos_;     ///< Bytes written (not necessarily synced).
   uint64_t alloc_end_;     ///< Zero-preallocated file extent (drainer only).
+  /// Open found a torn or damaged tail past write_pos_; the first write
+  /// round truncates it before preallocating over it.
+  bool trim_tail_;
   uint64_t flush_target_ = 0;
   uint64_t request_seq_ = 0;  ///< Bumped by every Flush() registration.
   uint64_t last_latch_seq_ = 0;     ///< request_seq_ at the last round latch.

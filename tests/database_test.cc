@@ -4,9 +4,13 @@
 
 #include "core/database.h"
 
+#include <dirent.h>
+
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
 
 #include "ckpt/checkpoint.h"
 #include "common/file_util.h"
@@ -352,6 +356,34 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string("Unknown");
     });
+
+// The engine names its threads, so /proc (top -H, perf, gdb) tells the
+// group-commit drainer from the client threads.
+std::set<std::string> ThreadNames() {
+  std::set<std::string> names;
+  DIR* tasks = ::opendir("/proc/self/task");
+  if (tasks == nullptr) return names;
+  while (const dirent* entry = ::readdir(tasks)) {
+    if (entry->d_name[0] == '.') continue;
+    std::string comm;
+    if (ReadFileToString(std::string("/proc/self/task/") + entry->d_name +
+                             "/comm",
+                         &comm)
+            .ok()) {
+      while (!comm.empty() && comm.back() == '\n') comm.pop_back();
+      names.insert(comm);
+    }
+  }
+  ::closedir(tasks);
+  return names;
+}
+
+TEST(DatabaseThreads, WalDrainerIsNamed) {
+  TempDir dir;
+  auto db = Database::Open(SmallDbOptions(dir.path(), ProtectionScheme::kNone));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(ThreadNames().count("cwdb-wal"), 1u);
+}
 
 }  // namespace
 }  // namespace cwdb

@@ -82,16 +82,6 @@ inline std::vector<Lsn> AppendPastCkEndOfClosedDb(
   return lsns;
 }
 
-/// The bytes of the log file at `path` up to the end of its valid frame
-/// prefix: what an open keeps (it drops the preallocated zero tail).
-inline std::string ValidLogFrames(const std::string& path) {
-  std::string bytes;
-  auto reader = LogReader::Open(path);
-  EXPECT_TRUE(reader.ok() && ReadFileToString(path, &bytes).ok());
-  if (reader.ok()) bytes.resize((*reader)->ScanTail().valid_bytes);
-  return bytes;
-}
-
 /// The whole file at `path`.
 inline std::string ReadWholeFile(const std::string& path) {
   std::string bytes;

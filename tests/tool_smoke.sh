@@ -57,7 +57,7 @@ grep -q "DAMAGED at byte 0" "$DIR/check.out"
 "$CTL" stats "$DIR/db" | grep -q '"process.data_dir_bytes"'
 
 # --per-shard renders one row per engine shard from the same snapshot.
-"$CTL" stats "$DIR/db" --per-shard | grep -q "wal_appends"
+"$CTL" stats "$DIR/db" --per-shard | grep -q "protect_updates"
 "$CTL" stats "$DIR/db" --per-shard | grep -q "^0 "
 
 # trace decodes the flight-recorder events of the same snapshot.

@@ -377,8 +377,8 @@ TEST_F(SystemLogTest, DiscardTailLosesUnflushed) {
 
 // The shapes a stable log can end in, each read twice: by the engine's
 // SystemLog::Open and by the cold reader `cwdb_ctl` uses. Both must find
-// the same valid prefix and the same tail class, and Open must truncate to
-// that prefix.
+// the same valid prefix and the same tail class, and an open that appends
+// nothing leaves the file byte for byte as it was.
 TEST_F(SystemLogTest, TailClassesAgreeBetweenOpenAndColdReader) {
   std::vector<Lsn> lsns;  // Frame starts, then the end of the last frame.
   {
@@ -445,6 +445,76 @@ TEST_F(SystemLogTest, TailClassesAgreeBetweenOpenAndColdReader) {
     EXPECT_EQ(open.tail, cold.tail);
     EXPECT_EQ(open.damage_off, cold.damage_off);
     EXPECT_EQ((*log)->end_of_stable_log(), cold.valid_bytes);
+    log->reset();
+    EXPECT_EQ(ReadWholeFile(LogPath()), bytes);
+  }
+}
+
+// A torn or damaged tail stays on disk until the log writes again: the
+// first write round cuts it off before preallocating, so after an append
+// and a flush the log reads clean — the old valid frames, the new frame at
+// the old valid end, then zeros. (Without the cut, the stale bytes past the
+// new frame would read as a torn or damaged tail again.)
+TEST_F(SystemLogTest, BadTailIsKeptUntilTheFirstWriteCutsItOff) {
+  std::vector<Lsn> lsns;  // Frame starts, then the end of the last frame.
+  {
+    auto log = SystemLog::Open(LogPath());
+    ASSERT_TRUE(log.ok());
+    for (TxnId id = 1; id <= 3; ++id) {
+      std::string p;
+      EncodeCommitTxn(&p, id);
+      lsns.push_back((*log)->Append(p));
+    }
+    ASSERT_OK((*log)->Flush());
+    lsns.push_back((*log)->end_of_stable_log());
+  }
+  const std::string written = ReadWholeFile(LogPath());
+  struct Shape {
+    const char* name;
+    std::function<void(std::string*)> mutate;
+    size_t valid_frames;
+    WalTail tail;
+  };
+  const Shape shapes[] = {
+      {"torn final frame", [&](std::string* f) { f->resize(lsns[3] - 3); }, 2,
+       WalTail::kTorn},
+      {"bad CRC before valid frames",
+       [&](std::string* f) { (*f)[lsns[1] + 9] ^= 0x01; }, 1,
+       WalTail::kDamaged},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    std::string bytes = written;
+    shape.mutate(&bytes);
+    ASSERT_OK(WriteFileAtomic(LogPath(), bytes));
+    {
+      auto log = SystemLog::Open(LogPath());
+      ASSERT_TRUE(log.ok());
+      EXPECT_EQ((*log)->tail_scan().tail, shape.tail);
+    }
+    EXPECT_EQ(ReadWholeFile(LogPath()), bytes);
+
+    {
+      auto log = SystemLog::Open(LogPath());
+      ASSERT_TRUE(log.ok());
+      std::string p;
+      EncodeCommitTxn(&p, 99);
+      EXPECT_EQ((*log)->Append(p), lsns[shape.valid_frames]);
+      ASSERT_OK((*log)->Flush());
+    }
+    auto log = SystemLog::Open(LogPath());
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ((*log)->tail_scan().tail, WalTail::kPreallocated);
+    auto reader = LogReader::Open(LogPath());
+    ASSERT_TRUE(reader.ok());
+    std::vector<TxnId> txns;
+    LogRecord rec;
+    while ((*reader)->Next(&rec, nullptr)) txns.push_back(rec.txn);
+    ASSERT_OK((*reader)->status());
+    std::vector<TxnId> want;
+    for (TxnId id = 1; id <= shape.valid_frames; ++id) want.push_back(id);
+    want.push_back(99);
+    EXPECT_EQ(txns, want);
   }
 }
 
@@ -523,44 +593,50 @@ TEST_F(SystemLogTest, ReadingFromEveryRecordLsnMatchesTheFullRead) {
   }
 }
 
+// A round that fails in its write or in its sync is counted once, makes
+// nothing durable, and keeps the bytes: the retry leaves each record in
+// the file exactly once, at its original LSN.
 TEST_F(SystemLogTest, FailedFlushIsCountedAndRetryCoversBatchOnce) {
-  auto log = SystemLog::Open(LogPath());
-  ASSERT_TRUE(log.ok());
-  std::string p;
-  EncodeBeginTxn(&p, 1);
-  Lsn first = (*log)->Append(p);
-  p.clear();
-  EncodeBeginTxn(&p, 2);
-  (*log)->Append(p);
+  for (const char* point : {"wal.flush.pwrite", "wal.flush.fdatasync"}) {
+    SCOPED_TRACE(point);
+    const std::string path = dir_.path() + "/" + point + ".log";
+    auto log = SystemLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    std::string p;
+    EncodeBeginTxn(&p, 1);
+    Lsn first = (*log)->Append(p);
+    p.clear();
+    EncodeBeginTxn(&p, 2);
+    Lsn second = (*log)->Append(p);
 
-  // First flush attempt dies on the injected fdatasync error: the batch
-  // must be restored to the tail (nothing durable) and counted as exactly
-  // one failure, zero completed flushes.
-  crashpoint::Arm("wal.flush.fdatasync",
-                  {crashpoint::Mode::kEio, /*countdown=*/1, /*param=*/0});
-  Status s = (*log)->Flush();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ((*log)->flush_failures(), 1u);
-  EXPECT_EQ((*log)->flush_count(), 0u);
-  EXPECT_EQ((*log)->end_of_stable_log(), 0u);
+    crashpoint::Arm(point,
+                    {crashpoint::Mode::kEio, /*countdown=*/1, /*param=*/0});
+    Status s = (*log)->Flush();
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ((*log)->flush_failures(), 1u);
+    EXPECT_EQ((*log)->flush_count(), 0u);
+    EXPECT_EQ((*log)->end_of_stable_log(), 0u);
 
-  // The point disarmed itself after firing; the retry succeeds and the
-  // stable log holds each record exactly once, at its original LSN.
-  ASSERT_OK((*log)->Flush());
-  EXPECT_EQ((*log)->flush_failures(), 1u);
-  EXPECT_EQ((*log)->flush_count(), 1u);
+    // The point disarmed itself after firing; the retry succeeds.
+    ASSERT_OK((*log)->Flush());
+    EXPECT_EQ((*log)->flush_failures(), 1u);
+    EXPECT_EQ((*log)->flush_count(), 1u);
+    EXPECT_EQ((*log)->end_of_stable_log(), (*log)->CurrentLsn());
 
-  auto reader = LogReader::Open(LogPath());
-  ASSERT_TRUE(reader.ok());
-  LogRecord rec;
-  Lsn lsn = 0;
-  ASSERT_TRUE((*reader)->Next(&rec, &lsn));
-  EXPECT_EQ(rec.txn, 1u);
-  EXPECT_EQ(lsn, first);
-  ASSERT_TRUE((*reader)->Next(&rec, nullptr));
-  EXPECT_EQ(rec.txn, 2u);
-  EXPECT_FALSE((*reader)->Next(&rec, nullptr));
-  crashpoint::DisarmAll();
+    auto reader = LogReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    LogRecord rec;
+    Lsn lsn = 0;
+    ASSERT_TRUE((*reader)->Next(&rec, &lsn));
+    EXPECT_EQ(rec.txn, 1u);
+    EXPECT_EQ(lsn, first);
+    ASSERT_TRUE((*reader)->Next(&rec, &lsn));
+    EXPECT_EQ(rec.txn, 2u);
+    EXPECT_EQ(lsn, second);
+    EXPECT_FALSE((*reader)->Next(&rec, nullptr));
+    EXPECT_EQ((*reader)->ScanTail().tail, WalTail::kPreallocated);
+    crashpoint::DisarmAll();
+  }
 }
 
 TEST_F(SystemLogTest, BytesAppendedAccounting) {

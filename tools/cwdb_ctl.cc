@@ -405,10 +405,10 @@ int CmdRecover(const std::string& dir, const std::string& scheme_name) {
 }
 
 /// Renders the per-shard counter families of the persisted snapshot as one
-/// row per shard. The families are the sharded hot paths: WAL append
-/// staging, protection updates/prechecks, lock-segment waits and audit
-/// slices. A skewed row is the first thing to look at when scaling
-/// disappoints — it means the workload (or the ShardMap) is not spreading.
+/// row per shard. The families are the sharded hot paths: protection
+/// updates/prechecks, lock-segment waits and audit slices. A skewed row is
+/// the first thing to look at when scaling disappoints — it means the
+/// workload (or the ShardMap) is not spreading.
 int CmdStatsPerShard(const JsonValue& doc) {
   const JsonValue* counters = doc.Find("counters");
   if (counters == nullptr || !counters->is_object()) {
@@ -422,7 +422,6 @@ int CmdStatsPerShard(const JsonValue& doc) {
     const char* heading;
   };
   static constexpr Family kFamilies[] = {
-      {"wal.shard", ".appends", "wal_appends"},
       {"protect.shard", ".updates", "protect_updates"},
       {"protect.shard", ".prechecks", "prechecks"},
       {"txn.lockshard", ".waits", "lock_waits"},
