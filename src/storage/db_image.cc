@@ -1,5 +1,6 @@
 #include "storage/db_image.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "common/logging.h"
@@ -79,8 +80,12 @@ TableId DbImage::FindTable(const std::string& name) const {
 bool DbImage::SlotAllocated(TableId t, uint32_t slot) const {
   const TableMetaRaw* m = table_meta(t);
   CWDB_DCHECK(slot < m->capacity);
-  uint64_t word;
-  std::memcpy(&word, At(BitmapWordOff(m->bitmap_off, slot)), 8);
+  // The caller's own bit is stable under its record lock, but inserts and
+  // deletes of other slots store the same word meanwhile (WriteBitmapBit):
+  // both sides access it whole and atomically.
+  uint64_t word = std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(
+                      At(BitmapWordOff(m->bitmap_off, slot))))
+                      .load(std::memory_order_relaxed);
   return (word & BitmapBitMask(slot)) != 0;
 }
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -37,10 +36,14 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 ///    recovery, §2.1) — released explicitly when the operation commits.
 ///
 /// The lock table is sharded: lock ids hash onto `shards` independent
-/// segments, each with its own mutex, condition variable, lock map and
-/// per-transaction held-lock index — so transactions touching disjoint
+/// segments, each with its own mutex, condition variable, lock table and
+/// per-transaction held-lock lists — so transactions touching disjoint
 /// data never contend on lock-manager state, and ReleaseAll walks only the
-/// locks the transaction actually holds instead of the whole table.
+/// locks the transaction actually holds instead of the whole table. A
+/// segment's table is open-addressed (linear probing, backward-shift
+/// delete); it doubles when it passes half full and halves below an
+/// eighth, so one acquire or release costs the same however many locks
+/// are held, and nothing is allocated per lock once warm.
 ///
 /// Deadlock detection stays global and *precise*: a single waits-for map
 /// (guarded by its own mutex, always acquired after a segment mutex, never
@@ -94,23 +97,75 @@ class LockManager {
   size_t shard_count() const { return segments_.size(); }
 
  private:
+  struct Holder {
+    TxnId txn;
+    LockMode mode;
+  };
+
+  /// One lock-table slot. A used slot holds one lock id with at least one
+  /// holder or waiter. Exclusive implies a single holder (except during
+  /// upgrade, where the upgrader is also a shared holder). The first two
+  /// holders live inline; only wider shared holds spill into `more`.
   struct Entry {
-    // Holders and their modes. Exclusive implies it is the only holder
-    // (except during upgrade, where the upgrader is also a shared holder).
-    std::map<TxnId, LockMode> holders;
-    int waiters = 0;
+    LockId id;
+    uint32_t waiters = 0;
+    uint16_t nholders = 0;
+    bool used = false;
+    Holder inline_holders[2];
+    std::unique_ptr<std::vector<Holder>> more;
+
+    Holder& holder(uint32_t i) {
+      return i < 2 ? inline_holders[i] : (*more)[i - 2];
+    }
+    const Holder& holder(uint32_t i) const {
+      return i < 2 ? inline_holders[i] : (*more)[i - 2];
+    }
+    Holder* Find(TxnId txn);
+    const Holder* Find(TxnId txn) const {
+      return const_cast<Entry*>(this)->Find(txn);
+    }
+    void Add(Holder h);
+    void Remove(TxnId txn);
+  };
+
+  /// The lock ids one transaction holds in one segment.
+  struct Held {
+    TxnId txn;
+    std::vector<LockId> ids;
   };
 
   /// One lock-table segment. Padded so neighboring segments' mutexes do
   /// not share a cache line.
   struct alignas(64) Segment {
+    static constexpr size_t kNotFound = ~size_t{0};
+
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::map<LockId, Entry> locks;
-    /// Per-transaction index of held lock ids in this segment, so
-    /// ReleaseAll is O(locks held), not O(locks in the table).
-    std::map<TxnId, std::set<LockId>> held;
+    /// Open-addressed lock table; its size is a power of two.
+    std::vector<Entry> slots;
+    size_t used = 0;
+    /// One list per transaction holding a lock here, so ReleaseAll is
+    /// O(locks held), not O(locks in the table). Emptied id vectors go to
+    /// `spare` for the next transaction.
+    std::vector<Held> held;
+    std::vector<std::vector<LockId>> spare;
     Counter* waits = nullptr;  ///< Per-segment wait counter.
+    Gauge* slot_count = nullptr;  ///< Shared `txn.lock_table_slots`.
+
+    Segment();
+    /// The slot holding `id`, or the empty slot that ends its probe chain.
+    size_t Probe(LockId id) const;
+    size_t Find(LockId id) const;
+    size_t FindOrInsert(LockId id);
+    /// Frees slot `i` and shifts its probe chain back; may shrink the
+    /// table, so every slot index is stale afterwards.
+    void Erase(size_t i);
+    /// Rehashes every entry with a holder or waiter into a table of
+    /// `capacity` slots (a power of two).
+    void Rebuild(size_t capacity);
+    std::vector<LockId>& HeldFor(TxnId txn);
+    size_t HeldIndex(TxnId txn) const;
+    void DropHeld(size_t h);
   };
 
   /// A waiting transaction's edge set in the waits-for graph.

@@ -1,5 +1,6 @@
 #include "txn/table_ops.h"
 
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -60,7 +61,12 @@ Status WriteBitmapBit(TxnManager& mgr, Transaction* txn,
   } else {
     word &= ~BitmapBitMask(slot);
   }
-  return txn->Update(word_off, &word, 8);
+  // Other slots' readers load this word concurrently (SlotAllocated), so
+  // the store is atomic; writers of one table serialize on its lock.
+  CWDB_ASSIGN_OR_RETURN(uint8_t* p, txn->BeginUpdate(word_off, 8));
+  std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
+      .store(word, std::memory_order_relaxed);
+  return txn->EndUpdate();
 }
 
 uint64_t RoundUpToPage(uint64_t n, uint32_t page) {

@@ -1,14 +1,17 @@
 // Concurrency tests for the sharded engine: ShardMap geometry, the
 // segmented lock manager (contention, upgrades, cross-segment deadlocks,
-// hot-key convoys), the one WAL tail under concurrent append/flush, and whole-
-// database invariants for transactions that span shard boundaries —
+// hot-key convoys, lock-table growth and shrinking under sleepers), the
+// one WAL tail under concurrent append/flush, and whole-database
+// invariants for transactions that span shard boundaries —
 // including atomicity across a crash and across injected commit-time I/O
 // failures. These are the tests the CI TSan job runs to vet the
 // memory-ordering arguments in DESIGN.md §10.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 
 #include "common/crashpoint.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/shard_map.h"
 #include "tests/test_util.h"
 #include "txn/lock_manager.h"
@@ -212,6 +216,214 @@ TEST(ShardedLockManager, RandomHotSetDeadlocksResolve) {
   EXPECT_EQ(commits.load() + victims.load(),
             static_cast<uint64_t>(kThreads) * kRounds);
   EXPECT_GT(commits.load(), 0u);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Lock-table structure: the open-addressed segment tables grow, shrink,
+// move entries under sleeping waiters, and must keep every probe chain
+// intact across backward-shift deletes.
+// ---------------------------------------------------------------------------
+
+// One transaction holding 200k record locks grows every segment's table;
+// releasing them shrinks the tables back to where they started and leaves
+// no lock behind for the next transaction.
+TEST(LockTable, TwoHundredThousandLocksReleaseToEmptyAndShrink) {
+  MetricsRegistry reg;
+  LockManager lm(8);
+  lm.BindMetrics(&reg);
+  const Gauge* slots = reg.gauge("txn.lock_table_slots");
+  const int64_t start = slots->Value();
+  EXPECT_GT(start, 0);
+  constexpr uint32_t kLocks = 200000;
+  auto id_of = [](uint32_t i) {
+    return LockId::Record(static_cast<TableId>(i % 4), i / 4);
+  };
+  for (uint32_t i = 0; i < kLocks; ++i) {
+    ASSERT_OK(lm.Acquire(1, id_of(i), LockMode::kExclusive));
+  }
+  EXPECT_EQ(lm.LockedCount(), kLocks);
+  // Every table stays at most half full.
+  EXPECT_GE(slots->Value(), 2 * static_cast<int64_t>(kLocks));
+  lm.ReleaseAll(1);
+  ASSERT_EQ(lm.LockedCount(), 0u);  // A leftover lock would block txn 2.
+  EXPECT_EQ(slots->Value(), start);
+  for (uint32_t i = 0; i < kLocks; i += 997) {
+    ASSERT_OK(lm.Acquire(2, id_of(i), LockMode::kExclusive));
+    EXPECT_TRUE(lm.Holds(2, id_of(i), LockMode::kExclusive));
+  }
+  EXPECT_EQ(reg.counter("txn.lock_waits")->Value(), 0u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+}
+
+// Seeded random Acquire (shared, exclusive, re-entrant, upgrade), Release
+// and ReleaseAll over a few transactions, checked after every step against
+// a map of who holds what. One segment and a few hundred ids keep probe
+// chains long and the table growing and shrinking, so a chain broken by a
+// backward-shift delete shows up as a lock Holds cannot find.
+TEST(LockTable, RandomOpsMatchAMapOracle) {
+  MetricsRegistry reg;
+  LockManager lm(1);
+  lm.BindMetrics(&reg);
+  const Gauge* slots = reg.gauge("txn.lock_table_slots");
+  const int64_t start = slots->Value();
+  int64_t peak = start;
+  constexpr TxnId kTxns = 4;
+  constexpr uint32_t kIds = 300;
+  auto id_of = [](uint32_t i) {
+    return LockId::Record(static_cast<TableId>(i % 3), i * 7);
+  };
+  std::map<LockId, std::map<TxnId, LockMode>> oracle;
+  Random rng(0x10CC7AB1E);
+  for (int step = 0; step < 6000; ++step) {
+    TxnId t = 1 + rng.Uniform(kTxns);
+    uint32_t i = static_cast<uint32_t>(rng.Uniform(kIds));
+    LockId id = id_of(i);
+    uint64_t op = rng.Uniform(100);
+    if (op < 70) {
+      LockMode mode = rng.OneIn(3) ? LockMode::kExclusive : LockMode::kShared;
+      bool grantable = true;
+      for (const auto& [holder, held] : oracle[id]) {
+        if (holder != t && (mode == LockMode::kExclusive ||
+                            held == LockMode::kExclusive)) {
+          grantable = false;
+        }
+      }
+      if (!grantable) continue;  // It would block this single thread.
+      ASSERT_OK(lm.Acquire(t, id, mode));
+      LockMode& held = oracle[id].try_emplace(t, mode).first->second;
+      if (mode == LockMode::kExclusive) held = mode;
+    } else if (op < 92) {
+      lm.Release(t, id);
+      oracle[id].erase(t);
+    } else {
+      lm.ReleaseAll(t);
+      for (auto& [lock, holders] : oracle) holders.erase(t);
+    }
+    size_t locked = 0;
+    for (uint32_t k = 0; k < kIds; ++k) {
+      const auto& holders = oracle[id_of(k)];
+      if (!holders.empty()) ++locked;
+      for (TxnId u = 1; u <= kTxns; ++u) {
+        auto h = holders.find(u);
+        bool s = h != holders.end();
+        bool x = s && h->second == LockMode::kExclusive;
+        ASSERT_EQ(lm.Holds(u, id_of(k), LockMode::kShared), s)
+            << "step " << step << " txn " << u << " id " << k;
+        ASSERT_EQ(lm.Holds(u, id_of(k), LockMode::kExclusive), x)
+            << "step " << step << " txn " << u << " id " << k;
+      }
+    }
+    ASSERT_EQ(lm.LockedCount(), locked) << "step " << step;
+    peak = std::max(peak, slots->Value());
+  }
+  for (TxnId t = 1; t <= kTxns; ++t) lm.ReleaseAll(t);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+  EXPECT_GT(peak, start);  // The run did grow the table ...
+  EXPECT_EQ(slots->Value(), start);  // ... and shrank it back.
+}
+
+// An upgrade keeps one holder and one held-list entry: Release alone frees
+// the lock, and the ReleaseAll after it finds nothing more to free.
+TEST(LockTable, UpgradeThenReleaseLeavesNothing) {
+  MetricsRegistry reg;
+  LockManager lm(4);
+  lm.BindMetrics(&reg);
+  LockId id = LockId::Record(1, 77);
+  ASSERT_OK(lm.Acquire(1, id, LockMode::kShared));
+  ASSERT_OK(lm.Acquire(1, id, LockMode::kExclusive));
+  EXPECT_TRUE(lm.Holds(1, id, LockMode::kExclusive));
+  EXPECT_EQ(lm.LockedCount(), 1u);
+  lm.Release(1, id);
+  EXPECT_FALSE(lm.Holds(1, id, LockMode::kShared));
+  EXPECT_EQ(lm.LockedCount(), 0u);
+  lm.ReleaseAll(1);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+  // The id is free for anyone, at once.
+  ASSERT_OK(lm.Acquire(2, id, LockMode::kExclusive));
+  EXPECT_EQ(reg.counter("txn.lock_waits")->Value(), 0u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+}
+
+// A transaction asleep on a lock while others grow and then shrink the
+// same segment's table: its entry moves under it, yet it is still granted,
+// and a waits-for cycle closed while the table is grown is still refused.
+TEST(LockTable, SleeperSurvivesGrowAndShrinkAndCyclesAreStillSeen) {
+  MetricsRegistry reg;
+  LockManager lm(1);  // One segment: every lock shares the sleeper's table.
+  lm.BindMetrics(&reg);
+  const Gauge* slots = reg.gauge("txn.lock_table_slots");
+  const Counter* waits = reg.counter("txn.lock_waits");
+  const int64_t start = slots->Value();
+  LockId a = LockId::Record(1, 1);
+  LockId b = LockId::Record(1, 2);
+  ASSERT_OK(lm.Acquire(1, a, LockMode::kExclusive));
+  ASSERT_OK(lm.Acquire(2, b, LockMode::kExclusive));
+  std::atomic<bool> granted{false};
+  std::thread sleeper([&] {
+    ASSERT_OK(lm.Acquire(2, a, LockMode::kExclusive));  // Waits for txn 1.
+    granted = true;
+  });
+  // The wait counter moves under the segment mutex, which the sleeper only
+  // gives up inside its wait: every lock call below runs while it sleeps.
+  while (waits->Value() == 0) std::this_thread::yield();
+
+  for (uint32_t s = 100; s < 20100; ++s) {
+    ASSERT_OK(lm.Acquire(3, LockId::Record(2, s), LockMode::kShared));
+  }
+  EXPECT_GT(slots->Value(), start);
+  EXPECT_FALSE(granted.load());
+  // Txn 1 asking for b closes 1 -> 2 -> 1.
+  Status s = lm.Acquire(1, b, LockMode::kExclusive);
+  EXPECT_TRUE(s.IsDeadlock()) << s.ToString();
+  lm.ReleaseAll(3);
+  EXPECT_EQ(slots->Value(), start);
+  EXPECT_FALSE(granted.load());
+
+  lm.ReleaseAll(1);  // The victim aborts; the sleeper gets a.
+  sleeper.join();
+  EXPECT_TRUE(granted.load());
+  EXPECT_TRUE(lm.Holds(2, a, LockMode::kExclusive));
+  EXPECT_TRUE(lm.Holds(2, b, LockMode::kExclusive));
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.LockedCount(), 0u);
+}
+
+// Clear (a simulated crash) drops every holder, including a wide shared
+// hold's spilled ones, but keeps the entry a sleeper waits on: the sleeper
+// is granted, and the readers queued behind it later hold the lock alone.
+TEST(LockTable, ClearForgetsWideSharedHoldsAndKeepsSleepers) {
+  MetricsRegistry reg;
+  LockManager lm(1);
+  lm.BindMetrics(&reg);
+  const Counter* waits = reg.counter("txn.lock_waits");
+  LockId a = LockId::Record(1, 1);
+  for (TxnId t = 1; t <= 3; ++t) {
+    ASSERT_OK(lm.Acquire(t, a, LockMode::kShared));
+  }
+  std::thread writer(
+      [&] { ASSERT_OK(lm.Acquire(4, a, LockMode::kExclusive)); });
+  while (waits->Value() < 1) std::this_thread::yield();
+  lm.Clear();
+  writer.join();
+  EXPECT_TRUE(lm.Holds(4, a, LockMode::kExclusive));
+  EXPECT_FALSE(lm.Holds(3, a, LockMode::kShared));
+
+  std::vector<std::thread> readers;
+  for (TxnId t = 5; t <= 7; ++t) {
+    readers.emplace_back([&lm, a, t] {
+      ASSERT_OK(lm.Acquire(t, a, LockMode::kShared));
+    });
+  }
+  while (waits->Value() < 4) std::this_thread::yield();
+  lm.ReleaseAll(4);
+  for (auto& r : readers) r.join();
+  for (TxnId t = 1; t <= 7; ++t) {
+    EXPECT_EQ(lm.Holds(t, a, LockMode::kShared), t >= 5) << "txn " << t;
+  }
+  for (TxnId t = 5; t <= 7; ++t) lm.ReleaseAll(t);
   EXPECT_EQ(lm.LockedCount(), 0u);
 }
 

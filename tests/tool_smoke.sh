@@ -3,11 +3,13 @@
 # example, then exercise every read-only subcommand plus recover. The
 # corruption_forensics example provides a directory with an incident
 # dossier and a recovery provenance graph for the forensics subcommands.
+# The optional fourth argument, cwdb_crashtest, gets its usage checked.
 set -e
 
 QUICKSTART="$1"
 CTL="$2"
 FORENSICS="$3"
+CRASHTEST="$4"
 DIR=$(mktemp -d /dev/shm/cwdb_tool_smoke_XXXXXX)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -103,4 +105,20 @@ if "$CTL" bogus "$DIR/db" 2> /dev/null; then
   echo "bogus subcommand should fail" >&2
   exit 1
 fi
+# cwdb_crashtest takes an option-like first argument for no work
+# directory: it prints its usage, exits non-zero and creates nothing.
+if [ -n "$CRASHTEST" ]; then
+  mkdir "$DIR/crash_cwd"
+  if (cd "$DIR/crash_cwd" && "$CRASHTEST" --help) > /dev/null \
+      2> "$DIR/crashtest.err"; then
+    echo "cwdb_crashtest --help should fail" >&2
+    exit 1
+  fi
+  grep -q "usage:" "$DIR/crashtest.err"
+  if [ -n "$(ls -A "$DIR/crash_cwd")" ]; then
+    echo "cwdb_crashtest --help created files" >&2
+    exit 1
+  fi
+fi
+
 echo "tool smoke OK"

@@ -85,7 +85,8 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage(argv[0]);
+  // A first argument like --help is an option, not a work directory.
+  if (argc < 2 || argv[1][0] == '-') return Usage(argv[0]);
   std::string workdir = argv[1];
   uint64_t seed = 0xC0DEu;
   int iters = 8;
