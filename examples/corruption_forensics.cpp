@@ -172,7 +172,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("   (full dossier: cwdb_ctl incidents; graph: cwdb_ctl "
-              "explain-recovery --dot)\n");
+              "explain-recovery --dot; recovery phases: cwdb_ctl spans)\n");
+  // Close persists metrics.json and spans.json for the cwdb_ctl views.
+  DIE_IF_ERROR((*db)->Close());
 
   bool carrier_deleted =
       std::find(rr.deleted_txns.begin(), rr.deleted_txns.end(), carrier) !=

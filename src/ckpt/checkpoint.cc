@@ -59,8 +59,7 @@ Status Checkpointer::WriteCheckpointTo(int which, bool certify,
   const uint32_t page_size = image_->page_size();
   const uint64_t t0 = NowNs();
   in_flight_.store(true, std::memory_order_release);
-  // Checkpoints are rare and each one is interesting: trace every pass
-  // (forced; unsampled context when the tracer is off).
+  // Checkpoints are rare and each one is interesting: trace every pass.
   Tracer* tracer = metrics_->tracer();
   uint64_t root_span = 0;
   SpanContext ctx = tracer->StartForcedTrace(&root_span);
@@ -97,20 +96,15 @@ Status Checkpointer::WriteCheckpointTo(int which, bool certify,
     image_->ClearDirty(which);
   }
   pages_written_last_ = pages.size();
-  if (ctx.sampled()) {
-    tracer->Record(ctx, SpanKind::kCheckpointCopy, t0, NowNs(), pages.size(),
-                   page_size);
-  }
+  tracer->Record(ctx, SpanKind::kCheckpointCopy, t0, NowNs(), pages.size(),
+                 page_size);
 
   // --- Durability phase, off the critical path. ---
   Status s = WriteDurable(which, pages, page_bytes, ck_end,
                           std::move(att_blob), have_sidecar, sidecar_blob,
                           certify, corrupt, ctx);
-  if (ctx.sampled()) {
-    tracer->RecordWithId(ctx.Under(0), root_span, SpanKind::kCheckpoint, t0,
-                         NowNs(), pages.size(),
-                         static_cast<uint64_t>(which));
-  }
+  tracer->RecordWithId(ctx.Under(0), root_span, SpanKind::kCheckpoint, t0,
+                       NowNs(), pages.size(), static_cast<uint64_t>(which));
   in_flight_.store(false, std::memory_order_release);
   if (!s.ok()) {
     // Nothing certified: the anchor still names the previous image. Put
@@ -124,8 +118,8 @@ Status Checkpointer::WriteCheckpointTo(int which, bool certify,
   ins_.checkpoints->Add();
   ins_.pages_written->Add(pages.size());
   ins_.latency_ns->Record(NowNs() - t0);
-  metrics_->trace().Record(TraceEventType::kCheckpoint, ck_end, pages.size(),
-                           static_cast<uint64_t>(which));
+  tracer->Event(SpanKind::kCheckpointEnd, ck_end, pages.size(),
+                static_cast<uint64_t>(which));
   return Status::OK();
 }
 
@@ -140,10 +134,9 @@ Status Checkpointer::WriteDurable(int which,
                                   const SpanContext& trace) {
   const uint32_t page_size = image_->page_size();
   Tracer* tracer = metrics_->tracer();
-  const bool traced = trace.sampled();
   CWDB_RETURN_IF_ERROR(log_->Flush());
 
-  const uint64_t t_write = traced ? NowNs() : 0;
+  const uint64_t t_write = NowNs();
   int fd = ::open(files_.CkptImage(which).c_str(), O_WRONLY);
   if (fd < 0) {
     return Status::IoError("open " + files_.CkptImage(which) + ": " +
@@ -158,17 +151,13 @@ Status Checkpointer::WriteDurable(int which,
       return s;
     }
   }
-  if (traced) {
-    tracer->Record(trace, SpanKind::kCheckpointWrite, t_write, NowNs(),
-                   page_bytes.size(), pages.size());
-  }
-  const uint64_t t_fsync = traced ? NowNs() : 0;
+  tracer->Record(trace, SpanKind::kCheckpointWrite, t_write, NowNs(),
+                 page_bytes.size(), pages.size());
+  const uint64_t t_fsync = NowNs();
   Status s = crashpoint::Check("ckpt.image.fsync");
   if (s.ok()) s = FsyncFd(fd);
   ::close(fd);
-  if (traced) {
-    tracer->Record(trace, SpanKind::kCheckpointFsync, t_fsync, NowNs());
-  }
+  tracer->Record(trace, SpanKind::kCheckpointFsync, t_fsync, NowNs());
   CWDB_RETURN_IF_ERROR(s);
 
   // --- Certification audit (paper §4.2): after the checkpoint is written,
@@ -176,12 +165,10 @@ Status Checkpointer::WriteDurable(int which,
   // checkpoint is free of direct AND indirect corruption. The anchor is
   // only toggled on a clean audit. ---
   if (certify) {
-    const uint64_t t_cert = traced ? NowNs() : 0;
+    const uint64_t t_cert = NowNs();
     Status audit = protection_->AuditAll(corrupt);
-    if (traced) {
-      tracer->Record(trace, SpanKind::kCheckpointCertify, t_cert, NowNs(),
-                     corrupt != nullptr ? corrupt->size() : 0);
-    }
+    tracer->Record(trace, SpanKind::kCheckpointCertify, t_cert, NowNs(),
+                   corrupt != nullptr ? corrupt->size() : 0);
     if (!audit.ok()) return audit;
   }
 
@@ -378,7 +365,7 @@ Status Checkpointer::RepairLoadedImage(const ActiveCheckpoint& active,
   metrics_->counter("repair.load_repaired")->Add(report.repaired.size());
   metrics_->counter("repair.load_unrepaired")->Add(report.unrepaired.size());
   for (const CorruptRange& r : report.repaired) {
-    metrics_->trace().Record(TraceEventType::kRepair, ck_end, r.off, r.len);
+    metrics_->tracer()->Event(SpanKind::kRepair, ck_end, r.off, r.len);
   }
   if (!report.repaired.empty() && forensics != nullptr) {
     char detail[160];

@@ -104,8 +104,7 @@ bool BackgroundAuditor::AuditSlice() {
       // Starting a sweep: record where the log stood (§3.2 — a clean full
       // sweep certifies data as of its beginning; this becomes Audit_SN).
       sweep_start_lsn_ = db_->log()->CurrentLsn();
-      db_->metrics()->trace().Record(TraceEventType::kAuditPassBegin,
-                                     sweep_start_lsn_, 0, 0);
+      tracer->Event(SpanKind::kAuditPassBegin, sweep_start_lsn_);
       // Every sweep gets a (forced) trace: rare and each one interesting.
       sweep_ctx_ = tracer->StartForcedTrace(&sweep_root_span_);
       sweep_start_ns_ = NowNs();
@@ -129,7 +128,7 @@ bool BackgroundAuditor::AuditSlice() {
     sweep_root = sweep_root_span_;
     sweep_t0 = sweep_start_ns_;
   }
-  const uint64_t slice_t0 = sweep_ctx.sampled() ? NowNs() : 0;
+  const uint64_t slice_t0 = NowNs();
 
   std::vector<CorruptRange> corrupt;
   bool bad = false;
@@ -176,13 +175,11 @@ bool BackgroundAuditor::AuditSlice() {
       }
     }
   }
-  if (slice_t0 != 0) {
-    uint64_t round_bytes = 0;
-    for (const Span& sp : spans) round_bytes += sp.len;
-    tracer->Record(sweep_ctx, SpanKind::kAuditSlice, slice_t0, NowNs(),
-                   round_bytes, n);
-  }
-  if (wrapped && sweep_ctx.sampled()) {
+  uint64_t round_bytes = 0;
+  for (const Span& sp : spans) round_bytes += sp.len;
+  tracer->Record(sweep_ctx, SpanKind::kAuditSlice, slice_t0, NowNs(),
+                 round_bytes, n);
+  if (wrapped) {
     tracer->RecordWithId(sweep_ctx.Under(0), sweep_root,
                          SpanKind::kAuditSweep, sweep_t0, NowNs(),
                          sweep_begin_lsn, bad ? 1 : 0);
@@ -228,8 +225,7 @@ bool BackgroundAuditor::AuditSlice() {
     db_->metrics()
         ->histogram("auditor.sweep_duration_ns")
         ->Record(NowNs() - sweep_t0);
-    db_->metrics()->trace().Record(TraceEventType::kAuditPassEnd,
-                                   sweep_begin_lsn, arena / region, 0);
+    tracer->Event(SpanKind::kAuditPassEnd, sweep_begin_lsn, arena / region);
     sweeps_completed_.fetch_add(1);
     cv_.notify_all();
   }

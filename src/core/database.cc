@@ -54,7 +54,7 @@ Database::~Database() {
     // Detach the process-wide hooks before any member dies; the recorder
     // itself (and its fatal handler) is torn down by member destruction,
     // after the components that mirror into it.
-    metrics_.trace().set_sink(nullptr);
+    metrics_.tracer()->set_flight_recorder(nullptr);
     crashpoint::SetArmObserver(nullptr);
     // An orderly destructor is not a crash, even without Close(): the
     // "unclean" signal means the process died with this incarnation still
@@ -86,40 +86,27 @@ void Database::MetricsFlusherLoop() {
   while (!flusher_cv_.wait_for(lock, interval,
                                [this] { return stop_flusher_; })) {
     lock.unlock();
-    // Identical to DumpMetrics(), but a failure (full disk) only counts —
-    // a background flusher must never take the database down.
-    MetricsSnapshot snap = metrics_.Capture();
-    bool failed = !WriteFileAtomic(files_.MetricsFile(), snap.ToJson()).ok();
-    // The history ring and SLO report ride the same cadence so `cwdb_ctl
-    // top` on a live directory is at most one flush interval stale.
-    if (history_->size() > 0 &&
-        !history_->SaveTo(files_.MetricsHistoryFile()).ok()) {
-      failed = true;
-    }
-    if (slo_ != nullptr &&
-        !WriteFileAtomic(files_.SloReportFile(), slo_->ReportJson()).ok()) {
-      failed = true;
-    }
-    if (failed) {
-      metrics_.counter("obs.metrics_flush_failures")->Add();
-    } else {
+    // A failure (full disk) only counts: a background flusher must never
+    // take the database down.
+    std::string json;
+    if (PersistMetrics(&json).ok()) {
       metrics_.counter("obs.metrics_flushes")->Add();
+    } else {
+      metrics_.counter("obs.metrics_flush_failures")->Add();
     }
     lock.lock();
   }
 }
 
 Status Database::OpenImpl() {
-  // Tracing is configured before any component exists: every subsystem
-  // caches metrics_.tracer() freely, and with a zero rate the tracer stays
-  // un-Configured — enabled() is one relaxed load of false everywhere.
-  if (options_.trace_sample_rate > 0.0) {
-    TracerOptions topts;
-    topts.sample_rate = options_.trace_sample_rate;
-    topts.seed = options_.trace_seed;
-    topts.ring_capacity = options_.trace_ring_capacity;
-    metrics_.tracer()->Configure(topts);
-  }
+  // The tracer is configured before any component exists (every subsystem
+  // caches metrics_.tracer() freely). With a zero rate no transaction is
+  // sampled; events and the forced background traces record regardless.
+  TracerOptions topts;
+  topts.sample_rate = options_.trace_sample_rate;
+  topts.seed = options_.trace_seed;
+  topts.ring_capacity = options_.trace_ring_capacity;
+  metrics_.tracer()->Configure(topts);
   CWDB_ASSIGN_OR_RETURN(
       image_, DbImage::Create(options_.arena_size, options_.page_size));
   // One static partition of the arena drives every sharded component:
@@ -164,7 +151,7 @@ Status Database::OpenImpl() {
     if (fr.ok()) {
       flight_recorder_ = std::move(fr.value());
       flight_recorder_->SetArena(image_->base(), image_->size(), &shard_map_);
-      metrics_.trace().set_sink(flight_recorder_.get());
+      metrics_.tracer()->set_flight_recorder(flight_recorder_.get());
       // Armed crash points mirror into the box as they change (the
       // observer is process-wide, like the crashpoint registry; the last
       // database to open owns it, and ~Database clears it).
@@ -521,16 +508,15 @@ Result<AuditReport> Database::Audit() {
   std::string payload;
   EncodeAuditBegin(&payload);
   report.audit_lsn = log_->Append(payload);
-  metrics_.trace().Record(TraceEventType::kAuditPassBegin, report.audit_lsn,
-                          0, 0);
+  metrics_.tracer()->Event(SpanKind::kAuditPassBegin, report.audit_lsn);
   const uint64_t t0 = NowNs();
   uint64_t before = protection_->stats().regions_audited;
   Status s = protection_->AuditAll(&report.ranges);
   report.regions_audited = protection_->stats().regions_audited - before;
   metrics_.counter("audit.passes")->Add();
   metrics_.histogram("audit.pass_latency_ns")->Record(NowNs() - t0);
-  metrics_.trace().Record(TraceEventType::kAuditPassEnd, report.audit_lsn,
-                          report.regions_audited, report.ranges.size());
+  metrics_.tracer()->Event(SpanKind::kAuditPassEnd, report.audit_lsn,
+                           report.regions_audited, report.ranges.size());
   if (s.IsCorruption()) {
     report.clean = false;
     CWDB_RETURN_IF_ERROR(NoteCorruption(report.ranges));
@@ -551,9 +537,9 @@ Status Database::NoteCorruption(const std::vector<CorruptRange>& ranges,
   // (detection-latency measurement) and into the flight recorder.
   for (const CorruptRange& r : ranges) {
     metrics_.NoteDetection(r.off, r.len);
-    metrics_.trace().Record(TraceEventType::kCorruptionDetected,
-                            log_->CurrentLsn(), r.off, r.len,
-                            shard_map_.ShardOf(r.off));
+    metrics_.tracer()->Event(SpanKind::kCorruptionDetected,
+                             log_->CurrentLsn(), r.off, r.len,
+                             shard_map_.ShardOf(r.off));
   }
   metrics_.counter("audit.corruptions_noted")->Add(ranges.size());
   CorruptionNote note;
@@ -588,9 +574,9 @@ bool Database::TryRepairRanges(const std::vector<CorruptRange>& ranges,
                                std::vector<CorruptRange>* unrepaired) {
   for (const CorruptRange& r : ranges) {
     metrics_.NoteDetection(r.off, r.len);
-    metrics_.trace().Record(TraceEventType::kCorruptionDetected,
-                            log_->CurrentLsn(), r.off, r.len,
-                            shard_map_.ShardOf(r.off));
+    metrics_.tracer()->Event(SpanKind::kCorruptionDetected,
+                             log_->CurrentLsn(), r.off, r.len,
+                             shard_map_.ShardOf(r.off));
   }
   ProtectionManager::RepairEpisode episode;
   bool ok = protection_->RepairWithForensics(
@@ -673,31 +659,37 @@ DatabaseStats Database::GetStats() const {
 }
 
 Result<std::string> Database::DumpMetrics() {
-  // Refresh the process gauges so an explicit dump (and `cwdb_ctl stats`
-  // reading its output) carries current uptime/RSS/fd/disk numbers even
-  // when no history sampler is running.
+  std::string json;
+  CWDB_RETURN_IF_ERROR(PersistMetrics(&json));
+  return json;
+}
+
+Status Database::PersistMetrics(std::string* json) {
+  // Refresh the process gauges so every dump (and `cwdb_ctl stats` reading
+  // it) carries current uptime/RSS/fd/disk numbers even when no history
+  // sampler is running.
   PublishProcessStats(
       &metrics_, SampleProcessStats(files_.dir(), metrics_.boot_mono_ns()));
   MetricsSnapshot snap = metrics_.Capture();
   if (flight_recorder_ != nullptr) flight_recorder_->WriteMetricsSample(snap);
-  std::string json = snap.ToJson();
-  CWDB_RETURN_IF_ERROR(WriteFileAtomic(files_.MetricsFile(), json));
-  if (metrics_.tracer()->enabled()) {
-    // The span dump rides along so post-mortem `cwdb_ctl trace-export` /
-    // `spans` work on a closed database directory.
-    CWDB_RETURN_IF_ERROR(WriteFileAtomic(
-        files_.SpansFile(), SpansToJson(CaptureSpans(&metrics_))));
-  }
-  // The history ring and SLO report persist alongside so `cwdb_ctl top` /
-  // `scrub-map` work on a closed directory.
+  *json = snap.ToJson();
+  // Every file is attempted; the first failure is reported. The span dump
+  // rides along so `cwdb_ctl trace-export` / `spans` work on a closed or
+  // crashed directory; the history ring and SLO report so `cwdb_ctl top` /
+  // `scrub-map` do.
+  Status status = WriteFileAtomic(files_.MetricsFile(), *json);
+  auto keep_first = [&status](Status s) {
+    if (status.ok()) status = std::move(s);
+  };
+  keep_first(WriteFileAtomic(files_.SpansFile(),
+                             SpansToJson(CaptureSpans(&metrics_))));
   if (history_ != nullptr && history_->size() > 0) {
-    CWDB_RETURN_IF_ERROR(history_->SaveTo(files_.MetricsHistoryFile()));
+    keep_first(history_->SaveTo(files_.MetricsHistoryFile()));
   }
   if (slo_ != nullptr) {
-    CWDB_RETURN_IF_ERROR(
-        WriteFileAtomic(files_.SloReportFile(), slo_->ReportJson()));
+    keep_first(WriteFileAtomic(files_.SloReportFile(), slo_->ReportJson()));
   }
-  return json;
+  return status;
 }
 
 }  // namespace cwdb

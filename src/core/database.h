@@ -36,9 +36,10 @@
 namespace cwdb {
 
 /// Background metrics persistence. With a nonzero interval a flusher
-/// thread re-captures the registry and rewrites <dir>/metrics.json on that
-/// cadence, so the snapshot (schema-versioned, wall-clock stamped) survives
-/// a process death between explicit DumpMetrics() calls.
+/// thread writes everything DumpMetrics() writes (metrics.json, spans.json,
+/// the history ring and the SLO report) on that cadence, so the snapshot
+/// (schema-versioned, wall-clock stamped) survives a process death between
+/// explicit DumpMetrics() calls.
 struct MetricsOptions {
   uint64_t flush_interval_ms = 0;  ///< 0 = no background flushing.
 };
@@ -96,15 +97,15 @@ struct DatabaseOptions {
   /// Span tracing (src/obs/tracer.h). Fraction of transactions whose whole
   /// commit pipeline — begin, lock waits, read prechecks, codeword folds,
   /// WAL staging, the cross-thread group-commit hop, fsync, ack — is
-  /// recorded as a span tree. 0 (the default) compiles the hot path down to
-  /// one relaxed load per instrumentation site; 1.0 traces everything.
-  /// Checkpoints, audit sweeps and recovery are always traced while the
-  /// rate is nonzero (forced roots — rare and each one interesting).
+  /// recorded as a span tree. 0 (the default) reduces the hot path to one
+  /// load at Begin; 1.0 traces everything. Checkpoints, audit sweeps,
+  /// recovery and the instant events are recorded at every rate (forced
+  /// roots — rare and each one interesting).
   double trace_sample_rate = 0.0;
   /// Seed for the deterministic sampler: the same seed and rate pick the
   /// same transactions on every run (reproducible traces).
   uint64_t trace_seed = 0x9e3779b97f4a7c15ull;
-  /// Capacity (spans) of each thread's lock-free span ring.
+  /// Capacity (records) of each thread's lock-free trace ring.
   size_t trace_ring_capacity = 4096;
 
   /// Stall watchdog over the commit pipeline (see WatchdogOptions). Off by
@@ -345,8 +346,9 @@ class Database {
   DatabaseStats GetStats() const;
 
   /// Captures the full metrics snapshot (counters, gauges, histograms and
-  /// the event trace), persists it as JSON to <dir>/metrics.json — which is
-  /// what `cwdb_ctl stats <dir>` re-emits — and returns the same JSON.
+  /// the newest trace events), persists it as JSON to <dir>/metrics.json —
+  /// which is what `cwdb_ctl stats <dir>` re-emits — together with
+  /// spans.json, the history ring and the SLO report, and returns the JSON.
   Result<std::string> DumpMetrics();
 
   /// The database-wide metrics registry. Every component of this database
@@ -427,6 +429,10 @@ class Database {
   /// Joins the metrics flusher and stops the stats server (idempotent).
   void StopBackgroundWork();
   void MetricsFlusherLoop();
+  /// The one metrics-persist path behind DumpMetrics and the flusher:
+  /// writes every file, stores the metrics JSON in *json and returns the
+  /// first failure.
+  Status PersistMetrics(std::string* json);
 
   DatabaseOptions options_;
   DbFiles files_;

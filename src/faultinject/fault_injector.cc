@@ -87,14 +87,13 @@ FaultInjector::Outcome FaultInjector::WildWriteAt(DbPtr off, Slice bytes) {
   MetricsRegistry* metrics = db_->metrics();
   const uint64_t shard = db_->shard_map().ShardOf(off);
   metrics->counter("faultinject.writes_injected")->Add();
-  metrics->trace().Record(TraceEventType::kFaultInjected, 0, off, out.len,
-                          shard);
+  metrics->tracer()->Event(SpanKind::kFaultInjected, 0, off, out.len, shard);
   if (out.prevented) {
     // Hardware scheme: the wild store faulted before touching the image —
     // prevention *is* detection, at (essentially) zero latency.
     metrics->counter("faultinject.writes_prevented")->Add();
-    metrics->trace().Record(TraceEventType::kWritePrevented, 0, off, out.len,
-                            shard);
+    metrics->tracer()->Event(SpanKind::kWritePrevented, 0, off, out.len,
+                             shard);
     metrics->NoteInjectedFault(off, out.len);
     metrics->NoteDetection(off, out.len);
     if (ForensicsRecorder* forensics = db_->forensics()) {

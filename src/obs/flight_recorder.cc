@@ -27,7 +27,7 @@ uint32_t TraceSlotCrc(const TraceEvent& e) {
   std::memcpy(buf + 16, &e.a, 8);
   std::memcpy(buf + 24, &e.b, 8);
   std::memcpy(buf + 32, &e.shard, 8);
-  uint32_t type = static_cast<uint32_t>(e.type);
+  uint32_t type = EventTypeWord(e.kind);
   std::memcpy(buf + 40, &type, 4);
   return Crc32c(buf, sizeof(buf));
 }
@@ -159,19 +159,19 @@ Result<std::unique_ptr<FlightRecorder>> FlightRecorder::Create(
       new FlightRecorder(path, fd, base));
 }
 
-void FlightRecorder::OnTraceEvent(const TraceEvent& e) noexcept {
-  const uint64_t slot =
-      kTraceOff + (e.seq & (kTraceSlots - 1)) * kTraceSlotBytes;
-  Word64(slot + kTsTicket)->store(2 * e.seq + 1, std::memory_order_release);
+void FlightRecorder::MirrorEvent(const TraceEvent& e) noexcept {
+  const uint64_t n = mirrored_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t slot = kTraceOff + (n & (kTraceSlots - 1)) * kTraceSlotBytes;
+  Word64(slot + kTsTicket)->store(2 * n + 1, std::memory_order_release);
   Word64(slot + kTsTNs)->store(e.t_ns, std::memory_order_relaxed);
   Word64(slot + kTsLsn)->store(e.lsn, std::memory_order_relaxed);
   Word64(slot + kTsA)->store(e.a, std::memory_order_relaxed);
   Word64(slot + kTsB)->store(e.b, std::memory_order_relaxed);
   Word64(slot + kTsShard)->store(e.shard, std::memory_order_relaxed);
-  Word32(slot + kTsType)
-      ->store(static_cast<uint32_t>(e.type), std::memory_order_relaxed);
+  Word32(slot + kTsType)->store(EventTypeWord(e.kind),
+                                std::memory_order_relaxed);
   Word32(slot + kTsCrc)->store(TraceSlotCrc(e), std::memory_order_relaxed);
-  Word64(slot + kTsTicket)->store(2 * e.seq + 2, std::memory_order_release);
+  Word64(slot + kTsTicket)->store(2 * n + 2, std::memory_order_release);
 }
 
 void FlightRecorder::NoteStagedLsn(uint64_t logical_end) noexcept {

@@ -11,16 +11,16 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/shard_map.h"
 
 namespace cwdb {
 
 /// Crash-surviving black box (DESIGN.md §13): a small mmap'd MAP_SHARED
 /// file (`blackbox.bin`) in the database directory that mirrors the
-/// volatile diagnostic state a crash would otherwise destroy — the tail of
-/// the event-trace ring, the latest metrics sample, the WAL's staged and
-/// durable LSN frontiers, the armed crash points, and the
+/// volatile diagnostic state a crash would otherwise destroy — the newest
+/// instant events of the tracer, the latest metrics sample, the WAL's
+/// staged and durable LSN frontiers, the armed crash points, and the
 /// watchdog/SLO degradation strings. Because the mapping is shared, every
 /// store lands in the page cache immediately; a process death at any
 /// instant (SIGKILL, _exit at a crash point, a wild store taking the
@@ -65,7 +65,7 @@ inline constexpr uint64_t kStatusOff = 2048;     ///< 3 seqlock'd text slots.
 inline constexpr uint64_t kStatusSlotBytes = 512;
 inline constexpr uint64_t kStatusTextBytes = kStatusSlotBytes - 8;
 inline constexpr uint64_t kCrashOff = 4096;      ///< One crash record.
-inline constexpr uint64_t kTraceOff = 8192;      ///< Mirrored event ring.
+inline constexpr uint64_t kTraceOff = 8192;      ///< Mirrored events.
 inline constexpr uint64_t kTraceSlots = 256;     ///< Power of two.
 inline constexpr uint64_t kTraceSlotBytes = 64;
 inline constexpr uint64_t kSampleOff = 24576;    ///< Latest metrics sample.
@@ -141,6 +141,19 @@ inline constexpr uint32_t kCrashValid = 2;
 /// `fault_off` / `fault_shard` value meaning "not in the arena".
 inline constexpr uint64_t kNoFaultOff = UINT64_MAX;
 
+/// The slot's type word: the event kind's ordinal among the instant-event
+/// kinds (0 = fault_injected ... 12 = repair, the v1 numbering).
+inline uint32_t EventTypeWord(SpanKind kind) {
+  return static_cast<uint32_t>(kind) - static_cast<uint32_t>(kFirstEventKind);
+}
+
+/// Inverse of EventTypeWord; false for a word naming no event kind.
+inline bool EventKindFromWord(uint32_t word, SpanKind* kind) {
+  if (word > EventTypeWord(kLastEventKind)) return false;
+  *kind = static_cast<SpanKind>(word + static_cast<uint32_t>(kFirstEventKind));
+  return true;
+}
+
 /// CRC over a trace slot's payload fields — shared by the mirror writer
 /// and the postmortem decoder so the framing can't drift.
 uint32_t TraceSlotCrc(const TraceEvent& e);
@@ -169,21 +182,23 @@ struct FlightRecorderOptions {
   bool install_fatal_handler = false;
 };
 
-class FlightRecorder : public TraceSink {
+class FlightRecorder {
  public:
   /// Creates (truncating) `path` and maps it. The caller is responsible
   /// for rotating any prior incarnation's box first (see Database::Open).
   static Result<std::unique_ptr<FlightRecorder>> Create(
       const std::string& path, const FlightRecorderInfo& info);
 
-  ~FlightRecorder() override;
+  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // -- Hot-path mirrors (lock-free, called from instrumented sites) --
 
-  /// TraceSink: mirrors one published event into the mmap'd ring.
-  void OnTraceEvent(const TraceEvent& e) noexcept override;
+  /// Mirrors one instant event into the mmap'd ring (called by the
+  /// tracer on the recording thread). Slots are keyed by the mirror's own
+  /// dense ordinal, which becomes the event's seq when decoded.
+  void MirrorEvent(const TraceEvent& e) noexcept;
 
   /// End of the WAL tail after an append: the logical-end word (one
   /// relaxed store, made by the appender only).
@@ -255,6 +270,7 @@ class FlightRecorder : public TraceSink {
   std::string path_;
   int fd_ = -1;
   uint8_t* map_ = nullptr;
+  std::atomic<uint64_t> mirrored_{0};  ///< Events mirrored so far.
 
   /// Serializes whole-sample rewrites (history tick vs DumpMetrics); the
   /// seqlock framing is for the crash-time reader, not these writers.

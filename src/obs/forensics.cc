@@ -140,7 +140,7 @@ std::string CorruptionIncident::ToJson() const {
             "{\"seq\":%" PRIu64 ",\"t_ns\":%" PRIu64 ",\"wall_ns\":%" PRIu64
             ",\"type\":\"%s\",\"lsn\":%" PRIu64 ",\"a\":%" PRIu64
             ",\"b\":%" PRIu64 ",\"desc\":",
-            e.seq, e.t_ns, ev_wall, TraceEventTypeName(e.type), e.lsn, e.a,
+            e.seq, e.t_ns, ev_wall, SpanKindName(e.kind), e.lsn, e.a,
             e.b);
     out.append(JsonQuote(DescribeTraceEvent(e)));
     out.push_back('}');
@@ -249,9 +249,7 @@ uint64_t ForensicsRecorder::RecordIncident(
           inc.recent_events.end() - options_.trace_events);
     }
   } else if (metrics_ != nullptr) {
-    std::vector<TraceEvent> events = metrics_->trace().Snapshot();
-    size_t keep = std::min(events.size(), options_.trace_events);
-    inc.recent_events.assign(events.end() - keep, events.end());
+    inc.recent_events = metrics_->tracer()->RecentEvents(options_.trace_events);
   }
 
   std::lock_guard<std::mutex> guard(mu_);

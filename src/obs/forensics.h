@@ -13,7 +13,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/attribution.h"
 #include "storage/db_image.h"
 #include "storage/layout.h"

@@ -149,7 +149,7 @@ MetricsSnapshot MetricsRegistry::Capture() const {
       snap.histograms.push_back(HistogramSnapshot{name, h->Capture()});
     }
   }
-  snap.events = trace_.Snapshot();
+  snap.events = tracer_.RecentEvents(MetricsSnapshot::kMaxEvents);
   return snap;
 }
 
@@ -241,7 +241,7 @@ std::string MetricsSnapshot::ToJson() const {
             ", \"wall_ns\": %" PRIu64 ", \"type\": \"%s\", \"lsn\": %" PRIu64
             ", \"a\": %" PRIu64 ", \"b\": %" PRIu64,
             first ? "" : ",", e.seq, e.t_ns, WallFromMono(e.t_ns),
-            TraceEventTypeName(e.type), e.lsn, e.a, e.b);
+            SpanKindName(e.kind), e.lsn, e.a, e.b);
     if (e.shard != kNoTraceShard) {
       Appendf(&out, ", \"shard\": %" PRIu64, e.shard);
     }
@@ -273,7 +273,7 @@ std::string MetricsSnapshot::ToText() const {
             "event %-8" PRIu64 " +%.3fms %-20s lsn=%" PRIu64 " a=%" PRIu64
             " b=%" PRIu64 "\n",
             e.seq, static_cast<double>(e.t_ns) / 1e6,
-            TraceEventTypeName(e.type), e.lsn, e.a, e.b);
+            SpanKindName(e.kind), e.lsn, e.a, e.b);
   }
   return out;
 }

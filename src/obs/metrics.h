@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/trace.h"
 #include "obs/tracer.h"
 
 namespace cwdb {
@@ -142,6 +141,10 @@ struct MetricsSnapshot {
   /// gained the optional per-shard attribution word.
   static constexpr uint32_t kSchemaVersion = 3;
 
+  /// `events` holds at most this many of the tracer's newest instant
+  /// events.
+  static constexpr size_t kMaxEvents = 1024;
+
   /// When this snapshot was taken, in both time bases, plus the registry's
   /// boot anchor pair that converts any monotonic stamp in `events` to wall
   /// time: wall = boot_wall_ns + (mono - boot_mono_ns).
@@ -172,7 +175,7 @@ struct MetricsSnapshot {
   const HistogramSnapshot* FindHistogram(std::string_view name) const;
 };
 
-/// Registry of named, typed instruments plus the engine event trace. One
+/// Registry of named, typed instruments plus the engine's tracer. One
 /// registry per Database (a process may hold several databases — benches
 /// compare schemes side by side — so a process-global registry would
 /// conflate them); components constructed standalone in tests fall back to
@@ -183,25 +186,17 @@ struct MetricsSnapshot {
 /// stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  MetricsRegistry()
-      : boot_mono_ns_(NowNs()),
-        boot_wall_ns_(WallNowNs()),
-        trace_(kDefaultTraceCapacity) {}
-  explicit MetricsRegistry(size_t trace_capacity)
-      : boot_mono_ns_(NowNs()),
-        boot_wall_ns_(WallNowNs()),
-        trace_(trace_capacity) {}
+  MetricsRegistry() : boot_mono_ns_(NowNs()), boot_wall_ns_(WallNowNs()) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
-  EventTrace& trace() { return trace_; }
 
-  /// The database's span tracer. Disabled (and allocation-free) until the
-  /// owner calls tracer()->Configure with a nonzero sample rate; components
-  /// cache the pointer like any instrument.
+  /// The database's tracer: spans and instant events. Always recording;
+  /// it allocates a ring only when the first record lands in it.
+  /// Components cache the pointer like any instrument.
   Tracer* tracer() { return &tracer_; }
 
   MetricsSnapshot Capture() const;
@@ -234,7 +229,6 @@ class MetricsRegistry {
   /// Returns the number of faults matched.
   size_t NoteDetection(uint64_t off, uint64_t len);
 
-  static constexpr size_t kDefaultTraceCapacity = 1024;
   static constexpr size_t kMaxPendingFaults = 4096;
 
  private:
@@ -255,7 +249,6 @@ class MetricsRegistry {
   std::mutex faults_mu_;
   std::vector<PendingFault> pending_faults_;
 
-  EventTrace trace_;
   Tracer tracer_;
 };
 

@@ -113,21 +113,21 @@ Result<BlackBoxReport> DecodeBlackBox(const std::string& bytes) {
   r.watchdog_status = ReadStatusSlot(bytes, StatusSlot::kWatchdog);
   r.slo_status = ReadStatusSlot(bytes, StatusSlot::kSlo);
 
-  // Trace mirror: keep published slots whose CRC verifies.
+  // Trace mirror: keep published slots whose ticket names a seq that maps
+  // to the slot and whose CRC verifies.
   for (uint64_t i = 0; i < kTraceSlots; ++i) {
     const uint64_t slot = kTraceOff + i * kTraceSlotBytes;
     const uint64_t ticket = Read64(bytes, slot + kTsTicket);
     if (ticket == 0 || ticket % 2 != 0) continue;
     TraceEvent e;
     e.seq = ticket / 2 - 1;
+    if (e.seq % kTraceSlots != i) continue;
     e.t_ns = Read64(bytes, slot + kTsTNs);
     e.lsn = Read64(bytes, slot + kTsLsn);
     e.a = Read64(bytes, slot + kTsA);
     e.b = Read64(bytes, slot + kTsB);
     e.shard = Read64(bytes, slot + kTsShard);
-    const uint32_t type = Read32(bytes, slot + kTsType);
-    if (type > static_cast<uint32_t>(TraceEventType::kRepair)) continue;
-    e.type = static_cast<TraceEventType>(type);
+    if (!EventKindFromWord(Read32(bytes, slot + kTsType), &e.kind)) continue;
     if (TraceSlotCrc(e) != Read32(bytes, slot + kTsCrc)) continue;
     r.events.push_back(e);
   }
@@ -253,7 +253,7 @@ std::string RenderBlackBox(const BlackBoxReport& r) {
   for (const TraceEvent& e : r.events) {
     std::snprintf(line, sizeof(line), "  [%" PRIu64 "] t=%s %s %s\n", e.seq,
                   FormatWallNs(r.WallFromMono(e.t_ns)).c_str(),
-                  TraceEventTypeName(e.type), DescribeTraceEvent(e).c_str());
+                  SpanKindName(e.kind), DescribeTraceEvent(e).c_str());
     out += line;
   }
 

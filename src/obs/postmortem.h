@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace cwdb {
 
@@ -56,7 +56,7 @@ struct BlackBoxReport {
   std::string watchdog_status;
   std::string slo_status;
 
-  // Mirrored trace-ring tail, consistent slots only, ascending seq.
+  // Mirrored event tail, consistent slots only, ascending seq.
   std::vector<TraceEvent> events;
 
   // Latest metrics sample (empty when torn or never written).

@@ -78,6 +78,14 @@ std::string SpansToJson(const SpanDump& dump) {
     AppendU64(&out, s.a);
     out += ",\"b\":";
     AppendU64(&out, s.b);
+    if (s.lsn != 0) {
+      out += ",\"lsn\":";
+      AppendU64(&out, s.lsn);
+    }
+    if (s.shard != kNoTraceShard) {
+      out += ",\"shard\":";
+      AppendU64(&out, s.shard);
+    }
     out += "}";
   }
   out += "\n]\n}\n";
@@ -109,6 +117,10 @@ Result<SpanDump> ParseSpansJson(std::string_view text) {
       r.dur_ns = e.U64("dur_ns");
       r.a = e.U64("a");
       r.b = e.U64("b");
+      r.lsn = e.U64("lsn");
+      if (const JsonValue* shard = e.Find("shard"); shard != nullptr) {
+        r.shard = shard->AsU64();
+      }
       dump.spans.push_back(r);
     }
   }
@@ -122,12 +134,16 @@ std::string SpansToChromeJson(const SpanDump& dump) {
   for (size_t i = 0; i < dump.spans.size(); ++i) {
     const SpanRecord& s = dump.spans[i];
     out += i == 0 ? "\n" : ",\n";
+    const bool instant = IsEventKind(s.kind);
     out += "{\"name\":\"";
     out += SpanKindName(s.kind);
-    out += "\",\"cat\":\"cwdb\",\"ph\":\"X\",\"ts\":";
+    out += instant ? "\",\"cat\":\"cwdb\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
+                   : "\",\"cat\":\"cwdb\",\"ph\":\"X\",\"ts\":";
     AppendMicros(&out, s.start_ns);
-    out += ",\"dur\":";
-    AppendMicros(&out, s.dur_ns);
+    if (!instant) {
+      out += ",\"dur\":";
+      AppendMicros(&out, s.dur_ns);
+    }
     out += ",\"pid\":1,\"tid\":";
     AppendU64(&out, s.tid);
     out += ",\"args\":{\"trace_id\":";
@@ -136,6 +152,10 @@ std::string SpansToChromeJson(const SpanDump& dump) {
     AppendU64(&out, s.span_id);
     out += ",\"parent_id\":";
     AppendU64(&out, s.parent_id);
+    if (instant) {
+      out += ",\"lsn\":";
+      AppendU64(&out, s.lsn);
+    }
     out += ",\"a\":";
     AppendU64(&out, s.a);
     out += ",\"b\":";
@@ -159,7 +179,7 @@ std::string RenderSpanList(const SpanDump& dump) {
   uint64_t current_trace = 0;
   uint64_t trace_start = 0;
   for (const SpanRecord& s : spans) {
-    if (s.trace_id != current_trace) {
+    if (out.empty() || s.trace_id != current_trace) {
       current_trace = s.trace_id;
       trace_start = s.start_ns;
       std::snprintf(line, sizeof(line), "trace %" PRIu64 "\n", s.trace_id);

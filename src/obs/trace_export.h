@@ -11,12 +11,14 @@
 
 namespace cwdb {
 
-/// A captured set of spans plus the clock anchors needed to interpret
-/// them offline. This is the schema of <dir>/spans.json (written by
-/// Database::DumpMetrics when tracing is enabled) and the input to every
-/// exporter below.
+/// A captured set of trace records (spans and instant events) plus the
+/// clock anchors needed to interpret them offline. This is the schema of
+/// <dir>/spans.json (written by Database::DumpMetrics and the metrics
+/// flusher) and the input to every exporter below.
 struct SpanDump {
-  static constexpr uint32_t kSchemaVersion = 1;
+  /// Bumped to 2 when records gained the optional `lsn` and `shard`
+  /// fields (instant events); version-1 documents parse unchanged.
+  static constexpr uint32_t kSchemaVersion = 2;
 
   uint64_t captured_mono_ns = 0;
   uint64_t captured_wall_ns = 0;
@@ -28,20 +30,24 @@ struct SpanDump {
   std::vector<SpanRecord> spans;
 };
 
-/// Stable machine-readable spans.json form (keys in fixed order, one span
-/// per line). An empty dump serializes to a valid document.
+/// Stable machine-readable spans.json form (keys in fixed order, one
+/// record per line; `lsn` and `shard` only when set). An empty dump
+/// serializes to a valid document.
 std::string SpansToJson(const SpanDump& dump);
 
-/// Inverse of SpansToJson. Spans with an unknown kind name are skipped.
+/// Inverse of SpansToJson (any schema version). Records with an unknown
+/// kind name are skipped.
 Result<SpanDump> ParseSpansJson(std::string_view text);
 
-/// Chrome/Perfetto trace-event JSON ({"traceEvents":[...]}; complete "X"
-/// events, ts/dur in microseconds, tid = the tracer's thread ordinal).
-/// Loadable directly in https://ui.perfetto.dev. An empty dump yields the
-/// valid empty document {"traceEvents":[]}.
+/// Chrome/Perfetto trace-event JSON ({"traceEvents":[...]}; spans are
+/// complete "X" events, instant events thread-scoped "i" events on the
+/// same timeline; ts/dur in microseconds, tid = the tracer's thread
+/// ordinal). Loadable directly in https://ui.perfetto.dev. An empty dump
+/// yields the valid empty document {"traceEvents":[]}.
 std::string SpansToChromeJson(const SpanDump& dump);
 
-/// Operator-readable span listing, one line per span, grouped by trace.
+/// Operator-readable listing, one line per record, grouped by trace (the
+/// instant events first, as trace 0).
 std::string RenderSpanList(const SpanDump& dump);
 
 /// Per-stage latency attribution over the sampled transaction traces.

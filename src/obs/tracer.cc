@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace cwdb {
@@ -34,108 +35,164 @@ uint32_t ThreadOrdinal() {
   return ord;
 }
 
+/// Same sticky round-robin assignment Counter::ThreadShard uses: each
+/// thread picks the next ring at first use and keeps it, so writers on
+/// different threads publish into disjoint rings.
+size_t RingIndex() {
+  static std::atomic<size_t> next{0};
+  thread_local size_t ring = next.fetch_add(1, std::memory_order_relaxed);
+  return ring % Tracer::kRings;
+}
+
 thread_local SpanContext g_current_ctx;
 
 }  // namespace
 
+Tracer::~Tracer() {
+  for (std::atomic<Ring*>& ring : rings_) delete ring.load();
+}
+
 void Tracer::Configure(const TracerOptions& options) {
-  CWDB_CHECK(rings_.empty()) << "Tracer::Configure called twice";
-  if (options.sample_rate <= 0.0) return;
+  for (const std::atomic<Ring*>& ring : rings_) {
+    CWDB_CHECK(ring.load() == nullptr)
+        << "Tracer::Configure after the first record";
+  }
+  ring_capacity_ = RoundUpPow2(std::max<size_t>(options.ring_capacity, 64));
   seed_ = options.seed;
+  if (options.sample_rate <= 0.0) return;
   double rate = std::min(options.sample_rate, 1.0);
   sample_threshold_ =
       rate >= 1.0 ? UINT64_MAX
                   : static_cast<uint64_t>(
                         rate * static_cast<double>(UINT64_MAX));
-  size_t cap = RoundUpPow2(std::max<size_t>(options.ring_capacity, 64));
-  rings_.reserve(kRings);
-  for (size_t i = 0; i < kRings; ++i) {
-    auto ring = std::make_unique<Ring>();
-    ring->slots = std::vector<Slot>(cap);
-    rings_.push_back(std::move(ring));
+}
+
+Tracer::Ring& Tracer::ThreadRing() {
+  std::atomic<Ring*>& slot = rings_[RingIndex()];
+  Ring* ring = slot.load(std::memory_order_acquire);
+  if (ring != nullptr) return *ring;
+  // First record on this ring: allocate, and let a racing first writer on
+  // another thread win (its ring is then the one everybody uses).
+  auto fresh = std::make_unique<Ring>(ring_capacity_);
+  if (slot.compare_exchange_strong(ring, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
   }
-  enabled_.store(true, std::memory_order_release);
+  return *ring;
 }
 
-size_t Tracer::RingIndex() const {
-  // Same sticky round-robin assignment Counter::ThreadShard uses: each
-  // thread picks the next ring at first use and keeps it, so committers on
-  // different threads publish into disjoint rings.
-  static std::atomic<size_t> next{0};
-  thread_local size_t ring = next.fetch_add(1, std::memory_order_relaxed);
-  return ring % kRings;
-}
-
-SpanContext Tracer::StartTraceLockedFree(uint64_t* root_span_id) {
+SpanContext Tracer::StartTrace(uint64_t* root_span_id) {
   SpanContext ctx;
   ctx.tracer = this;
   ctx.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  ctx.span_id = next_span_id_.fetch_add(1, std::memory_order_relaxed);
+  ctx.span_id = NewSpanId();
   *root_span_id = ctx.span_id;
   return ctx;
 }
 
 SpanContext Tracer::MaybeStartTrace(uint64_t* root_span_id) {
-  if (!enabled()) return SpanContext{};
+  if (sample_threshold_ == 0) return SpanContext{};
   uint64_t n = candidates_.fetch_add(1, std::memory_order_relaxed);
   if (Mix64(seed_ ^ n) >= sample_threshold_) return SpanContext{};
-  return StartTraceLockedFree(root_span_id);
+  return StartTrace(root_span_id);
 }
 
 SpanContext Tracer::StartForcedTrace(uint64_t* root_span_id) {
-  if (!enabled()) return SpanContext{};
-  return StartTraceLockedFree(root_span_id);
+  return StartTrace(root_span_id);
 }
 
 void Tracer::Record(const SpanContext& ctx, SpanKind kind, uint64_t start_ns,
                     uint64_t end_ns, uint64_t a, uint64_t b) {
-  RecordWithId(ctx, next_span_id_.fetch_add(1, std::memory_order_relaxed),
-               kind, start_ns, end_ns, a, b);
+  if (!ctx.sampled()) return;
+  RecordWithId(ctx, NewSpanId(), kind, start_ns, end_ns, a, b);
 }
 
 void Tracer::RecordWithId(const SpanContext& ctx, uint64_t span_id,
                           SpanKind kind, uint64_t start_ns, uint64_t end_ns,
                           uint64_t a, uint64_t b) {
   if (!ctx.sampled()) return;
-  Ring& ring = *rings_[RingIndex()];
+  SpanRecord r;
+  r.trace_id = ctx.trace_id;
+  r.span_id = span_id;
+  r.parent_id = ctx.span_id;
+  r.start_ns = start_ns;
+  r.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
+  r.a = a;
+  r.b = b;
+  r.kind = kind;
+  Publish(r);
+}
+
+void Tracer::Event(SpanKind kind, uint64_t lsn, uint64_t a, uint64_t b,
+                   uint64_t shard) {
+  SpanRecord r;
+  r.span_id = NewSpanId();
+  r.start_ns = NowNs();
+  r.lsn = lsn;
+  r.a = a;
+  r.b = b;
+  r.shard = shard;
+  r.kind = kind;
+  Publish(r);
+  if (FlightRecorder* recorder = recorder_.load(std::memory_order_acquire)) {
+    recorder->MirrorEvent(EventOf(r));
+  }
+}
+
+void Tracer::Publish(const SpanRecord& r) {
+  Ring& ring = ThreadRing();
   uint64_t seq = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring.slots[seq & (ring.slots.size() - 1)];
+  Slot& s = ring.slots[seq & ring.mask];
   s.ticket.store(2 * seq + 1, std::memory_order_release);
-  s.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
-  s.span_id.store(span_id, std::memory_order_relaxed);
-  s.parent_id.store(ctx.span_id, std::memory_order_relaxed);
-  s.start_ns.store(start_ns, std::memory_order_relaxed);
-  s.dur_ns.store(end_ns > start_ns ? end_ns - start_ns : 0,
-                 std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
+  s.trace_id.store(r.trace_id, std::memory_order_relaxed);
+  s.span_id.store(r.span_id, std::memory_order_relaxed);
+  s.parent_id.store(r.parent_id, std::memory_order_relaxed);
+  s.start_ns.store(r.start_ns, std::memory_order_relaxed);
+  s.dur_ns.store(r.dur_ns, std::memory_order_relaxed);
+  s.lsn.store(r.lsn, std::memory_order_relaxed);
+  s.a.store(r.a, std::memory_order_relaxed);
+  s.b.store(r.b, std::memory_order_relaxed);
+  s.shard.store(r.shard, std::memory_order_relaxed);
   s.tid.store(ThreadOrdinal(), std::memory_order_relaxed);
-  s.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
+  s.kind.store(static_cast<uint8_t>(r.kind), std::memory_order_relaxed);
   s.ticket.store(2 * seq + 2, std::memory_order_release);
 }
 
-std::vector<SpanRecord> Tracer::Snapshot() const {
+std::vector<SpanRecord> Tracer::Collect(bool events_only) const {
   std::vector<SpanRecord> out;
-  for (const auto& ring : rings_) {
-    for (const Slot& s : ring->slots) {
+  for (const std::atomic<Ring*>& slot : rings_) {
+    const Ring* ring = slot.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    for (size_t i = 0; i <= ring->mask; ++i) {
+      const Slot& s = ring->slots[i];
       uint64_t ticket = s.ticket.load(std::memory_order_acquire);
       if (ticket == 0 || (ticket & 1) != 0) continue;
       SpanRecord r;
+      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_relaxed));
+      if (events_only && !IsEventKind(r.kind)) continue;
       r.trace_id = s.trace_id.load(std::memory_order_relaxed);
       r.span_id = s.span_id.load(std::memory_order_relaxed);
       r.parent_id = s.parent_id.load(std::memory_order_relaxed);
       r.start_ns = s.start_ns.load(std::memory_order_relaxed);
       r.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
+      r.lsn = s.lsn.load(std::memory_order_relaxed);
       r.a = s.a.load(std::memory_order_relaxed);
       r.b = s.b.load(std::memory_order_relaxed);
+      r.shard = s.shard.load(std::memory_order_relaxed);
       r.tid = s.tid.load(std::memory_order_relaxed);
-      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_relaxed));
-      // Keep the span only if the slot still belongs to the seq we started
-      // reading (a writer may have lapped us mid-copy).
+      // Keep the record only if the slot still belongs to the seq we
+      // started reading (a writer may have lapped us mid-copy; the kind
+      // filter above may then have judged the lapping record's kind).
       if (s.ticket.load(std::memory_order_acquire) != ticket) continue;
       out.push_back(r);
     }
   }
+  return out;
+}
+
+std::vector<SpanRecord> Tracer::Snapshot() const {
+  std::vector<SpanRecord> out = Collect(/*events_only=*/false);
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& x, const SpanRecord& y) {
               return x.start_ns != y.start_ns ? x.start_ns < y.start_ns
@@ -144,10 +201,26 @@ std::vector<SpanRecord> Tracer::Snapshot() const {
   return out;
 }
 
+std::vector<TraceEvent> Tracer::RecentEvents(size_t max) const {
+  std::vector<SpanRecord> records = Collect(/*events_only=*/true);
+  std::sort(records.begin(), records.end(),
+            [](const SpanRecord& x, const SpanRecord& y) {
+              return x.span_id < y.span_id;
+            });
+  const size_t skip = records.size() > max ? records.size() - max : 0;
+  std::vector<TraceEvent> out;
+  out.reserve(records.size() - skip);
+  for (size_t i = skip; i < records.size(); ++i) {
+    out.push_back(EventOf(records[i]));
+  }
+  return out;
+}
+
 uint64_t Tracer::recorded() const {
   uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    total += ring->head.load(std::memory_order_relaxed);
+  for (const std::atomic<Ring*>& slot : rings_) {
+    const Ring* ring = slot.load(std::memory_order_acquire);
+    if (ring != nullptr) total += ring->head.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -255,8 +255,8 @@ Status CodewordProtection::PrecheckRead(DbPtr off, uint32_t len) {
     // RepairWithForensics after the latches are released — the dossier's
     // codeword probe re-takes the failing region's latch.
     metrics_->NoteDetection(off, len);
-    metrics_->trace().Record(TraceEventType::kPrecheckFailed, 0, off, len,
-                             ShardOfRegion(r));
+    metrics_->tracer()->Event(SpanKind::kPrecheckFailed, 0, off, len,
+                              ShardOfRegion(r));
     char detail[128];
     std::snprintf(detail, sizeof(detail),
                   "read precheck refused read of [%" PRIu64

@@ -119,7 +119,7 @@ bool ProtectionManager::RepairWithForensics(
   ins_.repair_success->Add(ep->outcome.repaired.size());
   ins_.repair_failed->Add(ep->outcome.unrepaired.size());
   for (const CorruptRange& r : ep->outcome.repaired) {
-    metrics_->trace().Record(TraceEventType::kRepair, lsn, r.off, r.len);
+    metrics_->tracer()->Event(SpanKind::kRepair, lsn, r.off, r.len);
   }
   if (!ep->outcome.repaired.empty() && forensics_ != nullptr) {
     char buf[160];

@@ -170,13 +170,12 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
   corrupt_conflicts_.clear();
   RecoveryReport report;
 
-  // Phase transitions go to the flight recorder; counts and the total
-  // duration land in recovery.* instruments once the run finishes.
+  // Every recovery run is traced (forced): each phase transition is an
+  // event and closes the previous phase's span under a kRecovery root
+  // recorded at the end. Counts and the total duration land in recovery.*
+  // instruments once the run finishes.
   MetricsRegistry* metrics = txns_->metrics();
-  EventTrace& trace = metrics->trace();
   const uint64_t t0 = NowNs();
-  // Every recovery run is traced (forced): each phase transition closes the
-  // previous phase's span under a kRecovery root recorded at the end.
   Tracer* tracer = metrics->tracer();
   uint64_t rec_root = 0;
   SpanContext rec_ctx = tracer->StartForcedTrace(&rec_root);
@@ -184,18 +183,15 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
   RecoveryPhase prev_phase = RecoveryPhase::kLoadCheckpoint;
   bool phase_open = false;
   auto enter_phase = [&](RecoveryPhase p, Lsn at) {
-    trace.Record(TraceEventType::kRecoveryPhase, at,
-                 static_cast<uint64_t>(p), 0);
-    if (rec_ctx.sampled()) {
-      const uint64_t now = NowNs();
-      if (phase_open) {
-        tracer->Record(rec_ctx, SpanKind::kRecoveryPhase, phase_start_ns,
-                       now, static_cast<uint64_t>(prev_phase), at);
-      }
-      phase_start_ns = now;
-      prev_phase = p;
-      phase_open = p != RecoveryPhase::kDone;
+    tracer->Event(SpanKind::kRecoveryPhaseBegin, at, static_cast<uint64_t>(p));
+    const uint64_t now = NowNs();
+    if (phase_open) {
+      tracer->Record(rec_ctx, SpanKind::kRecoveryPhase, phase_start_ns, now,
+                     static_cast<uint64_t>(prev_phase), at);
     }
+    phase_start_ns = now;
+    prev_phase = p;
+    phase_open = p != RecoveryPhase::kDone;
   };
 
   txns_->set_recovery_mode(true);
@@ -548,7 +544,7 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
 
   enter_phase(RecoveryPhase::kDone, log_->CurrentLsn());
   for (TxnId id : report.deleted_txns) {
-    trace.Record(TraceEventType::kTxnDeleted, report.redo_end, id, 0);
+    tracer->Event(SpanKind::kTxnDeleted, report.redo_end, id);
   }
   metrics->counter("recovery.runs")->Add();
   metrics->counter("recovery.redo_records_applied")
@@ -559,11 +555,9 @@ Result<RecoveryReport> RecoveryDriver::Run(const RecoveryOptions& options) {
   metrics->counter("recovery.rolled_back_txns")
       ->Add(report.rolled_back_txns.size());
   metrics->histogram("recovery.duration_ns")->Record(NowNs() - t0);
-  if (rec_ctx.sampled()) {
-    tracer->RecordWithId(rec_ctx.Under(0), rec_root, SpanKind::kRecovery, t0,
-                         NowNs(), report.deleted_txns.size(),
-                         report.rolled_back_txns.size());
-  }
+  tracer->RecordWithId(rec_ctx.Under(0), rec_root, SpanKind::kRecovery, t0,
+                       NowNs(), report.deleted_txns.size(),
+                       report.rolled_back_txns.size());
   return report;
 }
 

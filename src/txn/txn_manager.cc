@@ -25,7 +25,7 @@ TxnManager::TxnManager(DbImage* image, ProtectionManager* protection,
 
 Result<Transaction*> TxnManager::Begin() {
   Tracer* tracer = metrics_->tracer();
-  const uint64_t t0 = tracer->enabled() ? NowNs() : 0;
+  const uint64_t t0 = tracer->sampling() ? NowNs() : 0;
   std::lock_guard<std::mutex> guard(att_mu_);
   TxnId id = next_txn_id_++;
   auto txn = std::unique_ptr<Transaction>(new Transaction(this, id));

@@ -129,9 +129,9 @@ Result<std::unique_ptr<SystemLog>> SystemLog::Open(const std::string& path,
     // counter and trace entry are recorded here so standalone opens (tools,
     // tests) still leave evidence.
     log->metrics_->counter("wal.crc_damaged_tail")->Add();
-    log->metrics_->trace().Record(TraceEventType::kWalTailDamage,
-                                  scan.valid_bytes, scan.damage_off,
-                                  scan.file_bytes);
+    log->metrics_->tracer()->Event(SpanKind::kWalTailDamage,
+                                   scan.valid_bytes, scan.damage_off,
+                                   scan.file_bytes);
   }
   return log;
 }
@@ -342,8 +342,8 @@ void SystemLog::DrainerLoop() {
       ins_.flush_batch_bytes->Record(advance);
       ins_.tail_bytes->Set(static_cast<int64_t>(
           logical_end_.load(std::memory_order_relaxed) - write_pos_));
-      metrics_->trace().Record(TraceEventType::kGroupCommitFlush, write_pos_,
-                               advance, 0);
+      metrics_->tracer()->Event(SpanKind::kGroupCommitFlush, write_pos_,
+                                advance);
       // Every tag was swapped out with bytes this round made durable: each
       // gets its drainer-side write and fsync spans (children of the
       // originating commit's flush-wait span) and retires.

@@ -2,13 +2,14 @@
 // under one protection scheme must recover correctly when reopened under
 // another (the log format is scheme-agnostic; read log records and
 // checksums are simply ignored where not needed), bad options must be
-// rejected up front, and a log in the earlier fixed-width record encoding
-// is refused rather than misread.
+// rejected up front, a log in the earlier fixed-width record encoding
+// is refused rather than misread, and a version-1 spans.json still parses.
 
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
 #include "core/database.h"
+#include "obs/trace_export.h"
 #include "tests/test_util.h"
 
 namespace cwdb {
@@ -180,6 +181,40 @@ TEST(LogFormat, OldFixedWidthRecordsAreRefused) {
             std::string::npos)
       << db.status().ToString();
   EXPECT_EQ(ReadWholeFile(log), before);  // The log is left as it was.
+}
+
+// spans.json version 1 (before records carried `lsn`/`shard`): every
+// record parses, with the defaults those fields have in version 2, and
+// re-serializes to the same records.
+TEST(SpansFormat, VersionOneDumpStillParses) {
+  const std::string v1 =
+      "{\n\"schema\": 1,\n\"captured_mono_ns\": 900,\n"
+      "\"captured_wall_ns\": 1900,\n\"boot_mono_ns\": 100,\n"
+      "\"boot_wall_ns\": 1100,\n\"spans\": [\n"
+      "{\"trace\":3,\"span\":7,\"parent\":0,\"kind\":\"ckpt\",\"tid\":2,"
+      "\"start_ns\":200,\"dur_ns\":50,\"a\":4,\"b\":1},\n"
+      "{\"trace\":3,\"span\":8,\"parent\":7,\"kind\":\"ckpt.copy\","
+      "\"tid\":2,\"start_ns\":200,\"dur_ns\":10,\"a\":4,\"b\":4096}\n"
+      "]\n}\n";
+  Result<SpanDump> dump = ParseSpansJson(v1);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump->boot_wall_ns, 1100u);
+  ASSERT_EQ(dump->spans.size(), 2u);
+  const SpanRecord& root = dump->spans[0];
+  EXPECT_EQ(root.kind, SpanKind::kCheckpoint);
+  EXPECT_EQ(root.trace_id, 3u);
+  EXPECT_EQ(root.span_id, 7u);
+  EXPECT_EQ(root.dur_ns, 50u);
+  EXPECT_EQ(root.lsn, 0u);
+  EXPECT_EQ(root.shard, kNoTraceShard);
+  EXPECT_EQ(dump->spans[1].parent_id, 7u);
+  EXPECT_EQ(dump->spans[1].b, 4096u);
+
+  Result<SpanDump> again = ParseSpansJson(SpansToJson(*dump));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(again->spans.size(), 2u);
+  EXPECT_EQ(again->spans[1].kind, SpanKind::kCheckpointCopy);
+  EXPECT_EQ(again->spans[1].shard, kNoTraceShard);
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "ckpt/checkpoint.h"
 #include "common/file_util.h"
@@ -336,6 +338,39 @@ TEST_P(DatabaseSchemeTest, DumpMetricsPersistsIdenticalSnapshot) {
   EXPECT_NE(json->find("\"protect.detection_latency_ns\""),
             std::string::npos);
   EXPECT_NE(json->find("\"events\""), std::string::npos);
+}
+
+// The background flusher persists exactly what DumpMetrics does: with
+// default tracing (rate 0) the forced checkpoint trace reaches spans.json
+// and the process gauges reach metrics.json, with neither DumpMetrics nor
+// Close ever called.
+TEST(DatabaseMetricsFlusher, PersistsSpansAndProcessGauges) {
+  TempDir dir;
+  DatabaseOptions opts =
+      SmallDbOptions(dir.path(), ProtectionScheme::kDataCodeword);
+  opts.metrics.flush_interval_ms = 10;
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_OK((*db)->Checkpoint());
+  const uint64_t flushes_before =
+      (*db)->metrics()->counter("obs.metrics_flushes")->Value();
+  // A few intervals past the checkpoint: the first flush to start after it
+  // carries its spans.
+  for (int i = 0; i < 500 && (*db)->metrics()
+                                     ->counter("obs.metrics_flushes")
+                                     ->Value() < flushes_before + 3;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const DbFiles files(dir.path());
+  std::string spans;
+  ASSERT_OK(ReadFileToString(files.SpansFile(), &spans));
+  EXPECT_NE(spans.find("\"kind\":\"ckpt\""), std::string::npos);
+  std::string metrics;
+  ASSERT_OK(ReadFileToString(files.MetricsFile(), &metrics));
+  EXPECT_NE(metrics.find("\"process.rss_bytes\""), std::string::npos);
+  EXPECT_EQ((*db)->metrics()->counter("obs.metrics_flush_failures")->Value(),
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 // Unit tests for the observability layer (src/obs): sharded counters,
-// log-bucketed histograms, the event-trace ring buffer, the registry's
-// snapshot/JSON exporters and the detection-latency fault matcher.
+// log-bucketed histograms, instant events in the tracer's rings, the
+// registry's snapshot/JSON exporters and the detection-latency fault
+// matcher.
 
 #include <algorithm>
 #include <set>
@@ -9,7 +10,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/tracer.h"
 
 namespace cwdb {
 namespace {
@@ -104,54 +105,79 @@ TEST(HistogramTest, ConcurrentRecordsKeepExactCount) {
   EXPECT_EQ(h.Count(), kThreads * kPerThread);
 }
 
-TEST(EventTraceTest, RecordsInOrder) {
-  EventTrace trace(16);
-  trace.Record(TraceEventType::kAuditPassBegin, 7, 1, 2);
-  trace.Record(TraceEventType::kAuditPassEnd, 9, 3, 4);
-  std::vector<TraceEvent> events = trace.Snapshot();
+TEST(TracerEventTest, RecordsInOrder) {
+  Tracer tracer;
+  tracer.Event(SpanKind::kAuditPassBegin, 7, 1, 2);
+  tracer.Event(SpanKind::kAuditPassEnd, 9, 3, 4, /*shard=*/5);
+  std::vector<TraceEvent> events = tracer.RecentEvents(16);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].type, TraceEventType::kAuditPassBegin);
+  EXPECT_EQ(events[0].kind, SpanKind::kAuditPassBegin);
   EXPECT_EQ(events[0].lsn, 7u);
   EXPECT_EQ(events[0].a, 1u);
   EXPECT_EQ(events[0].b, 2u);
-  EXPECT_EQ(events[1].type, TraceEventType::kAuditPassEnd);
+  EXPECT_EQ(events[0].shard, kNoTraceShard);
+  EXPECT_EQ(events[1].kind, SpanKind::kAuditPassEnd);
+  EXPECT_EQ(events[1].shard, 5u);
   EXPECT_LT(events[0].seq, events[1].seq);
   EXPECT_LE(events[0].t_ns, events[1].t_ns);
+  // An event is an instant record outside any trace.
+  std::vector<SpanRecord> records = tracer.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  for (const SpanRecord& r : records) {
+    EXPECT_EQ(r.trace_id, 0u);
+    EXPECT_EQ(r.dur_ns, 0u);
+  }
+  EXPECT_EQ(records[0].span_id, events[0].seq);
 }
 
-TEST(EventTraceTest, WraparoundKeepsNewestCapacityEvents) {
-  constexpr size_t kCap = 8;
-  EventTrace trace(kCap);
+TEST(TracerEventTest, WraparoundKeepsNewestCapacityEvents) {
+  constexpr size_t kCap = 64;  // The smallest ring the tracer builds.
+  Tracer tracer;
+  TracerOptions topts;
+  topts.ring_capacity = kCap;
+  tracer.Configure(topts);
   for (uint64_t i = 0; i < 3 * kCap; ++i) {
-    trace.Record(TraceEventType::kGroupCommitFlush, i, i, 0);
+    tracer.Event(SpanKind::kGroupCommitFlush, i, i);
   }
-  EXPECT_EQ(trace.recorded(), 3 * kCap);
-  std::vector<TraceEvent> events = trace.Snapshot();
+  EXPECT_EQ(tracer.recorded(), 3 * kCap);
+  // One thread writes one ring: the survivors are exactly the newest kCap
+  // events, in order.
+  std::vector<TraceEvent> events = tracer.RecentEvents(1024);
   ASSERT_EQ(events.size(), kCap);
-  // The survivors are exactly the newest kCap events, in order.
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].lsn, 2 * kCap + i);
   }
+  // A smaller read keeps the newest of those.
+  events = tracer.RecentEvents(4);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.back().lsn, 3 * kCap - 1);
 }
 
-TEST(EventTraceTest, ConcurrentWritersProduceUniqueSeqs) {
-  EventTrace trace(64);
+TEST(TracerEventTest, ConcurrentWritersProduceUniqueSeqs) {
+  Tracer tracer;
+  TracerOptions topts;
+  topts.ring_capacity = 64;
+  tracer.Configure(topts);
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&trace] {
+    threads.emplace_back([&tracer] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        trace.Record(TraceEventType::kFaultInjected, i, i, i);
+        tracer.Event(SpanKind::kFaultInjected, i, i, i);
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(trace.recorded(), kThreads * kPerThread);
-  std::vector<TraceEvent> events = trace.Snapshot();
-  EXPECT_LE(events.size(), 64u);
+  EXPECT_EQ(tracer.recorded(), kThreads * kPerThread);
+  std::vector<TraceEvent> events = tracer.RecentEvents(1024);
+  EXPECT_LE(events.size(), kThreads * 64u);
   std::set<uint64_t> seqs;
-  for (const TraceEvent& e : events) seqs.insert(e.seq);
+  for (const TraceEvent& e : events) {
+    seqs.insert(e.seq);
+    EXPECT_EQ(e.lsn, e.a);
+    EXPECT_EQ(e.a, e.b);
+  }
   EXPECT_EQ(seqs.size(), events.size()) << "duplicate seq in snapshot";
 }
 
@@ -171,7 +197,7 @@ TEST(MetricsRegistryTest, SnapshotAndJsonAreStable) {
   reg.counter("a.count")->Add(1);
   reg.gauge("g.depth")->Set(-3);
   reg.histogram("h.lat")->Record(5);
-  reg.trace().Record(TraceEventType::kCheckpoint, 11, 22, 33);
+  reg.tracer()->Event(SpanKind::kCheckpointEnd, 11, 22, 33);
 
   MetricsSnapshot snap = reg.Capture();
   EXPECT_EQ(snap.CounterValue("a.count"), 1u);

@@ -16,6 +16,9 @@
 #include "common/random.h"
 #include "core/database.h"
 #include "faultinject/fault_injector.h"
+#include "obs/flight_recorder.h"
+#include "obs/postmortem.h"
+#include "obs/trace_export.h"
 #include "recovery/corrupt_note.h"
 #include "tests/test_util.h"
 #include "wal/log_record.h"
@@ -105,6 +108,107 @@ TEST(DecoderFuzz, AuditMetaGarbage) {
   EXPECT_EQ(*lsn, 12345u);
   ASSERT_OK(WriteFileAtomic(path, "xx"));
   EXPECT_FALSE(ReadAuditMeta(path).ok());
+}
+
+/// Opens a database at `path`, commits a few transactions and checkpoints,
+/// so its trace holds spans and instant events (group-commit flushes, the
+/// checkpoint), then closes it: blackbox.bin and spans.json are written.
+void BuildTracedDatabase(const std::string& path) {
+  auto db = Database::Open(SmallDbOptions(path, ProtectionScheme::kNone));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    auto txn = (*db)->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_OK((*db)->Commit(*txn));
+  }
+  ASSERT_OK((*db)->Close());
+}
+
+TEST(DecoderFuzz, BlackBoxTraceAreaBitFlipsAndTruncations) {
+  TempDir dir;
+  BuildTracedDatabase(dir.path());
+  std::string box;
+  ASSERT_OK(ReadFileToString(DbFiles(dir.path()).BlackBox(), &box));
+  Result<BlackBoxReport> clean = DecodeBlackBox(box);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_FALSE(clean->events.empty());
+
+  // Every event the decoder returns names a known kind and carries the CRC
+  // stored in its slot (slots are keyed by seq).
+  auto check = [](const std::string& bytes) {
+    Result<BlackBoxReport> r = DecodeBlackBox(bytes);
+    if (!r.ok()) return;
+    for (const TraceEvent& e : r->events) {
+      ASSERT_TRUE(IsEventKind(e.kind));
+      const uint64_t slot = blackbox::kTraceOff +
+                            (e.seq % blackbox::kTraceSlots) *
+                                blackbox::kTraceSlotBytes;
+      uint32_t stored = 0;
+      std::memcpy(&stored, bytes.data() + slot + blackbox::kTsCrc, 4);
+      ASSERT_EQ(blackbox::TraceSlotCrc(e), stored) << "seq " << e.seq;
+    }
+  };
+  const uint64_t trace_end =
+      blackbox::kTraceOff + blackbox::kTraceSlots * blackbox::kTraceSlotBytes;
+  for (uint64_t off = blackbox::kTraceOff; off < trace_end; ++off) {
+    for (int bit = 0; bit < 8; ++bit) {
+      box[off] ^= static_cast<char>(1 << bit);
+      check(box);
+      box[off] ^= static_cast<char>(1 << bit);
+    }
+  }
+  // Truncation anywhere refuses the box; nothing over-reads.
+  for (uint64_t len = 0; len < box.size(); len += 61) {
+    EXPECT_FALSE(DecodeBlackBox(box.substr(0, len)).ok()) << len;
+  }
+  for (uint64_t len = blackbox::kTraceOff; len <= trace_end; ++len) {
+    if (len < box.size()) check(box.substr(0, len));
+  }
+}
+
+TEST(DecoderFuzz, MangledSpansJsonParsesOrFails) {
+  TempDir dir;
+  BuildTracedDatabase(dir.path());
+  std::string json;
+  ASSERT_OK(ReadFileToString(DbFiles(dir.path()).SpansFile(), &json));
+  Result<SpanDump> clean = ParseSpansJson(json);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  bool has_instant = false;
+  for (const SpanRecord& r : clean->spans) has_instant |= IsEventKind(r.kind);
+  ASSERT_TRUE(has_instant) << json;
+
+  // Any outcome but a crash: an error, or records whose kinds all parsed
+  // (mangled kind names are skipped).
+  auto check = [](const std::string& text) {
+    Result<SpanDump> r = ParseSpansJson(text);
+    if (!r.ok()) return;
+    for (const SpanRecord& s : r->spans) {
+      SpanKind kind;
+      ASSERT_TRUE(SpanKindFromName(SpanKindName(s.kind), &kind));
+    }
+  };
+  for (size_t len = 0; len < json.size(); ++len) check(json.substr(0, len));
+  Random rng(1717);
+  const char kAlphabet[] = "{}[]\":,0123456789-.e \\x";
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string mangled = json;
+    const int edits = 1 + static_cast<int>(rng.Uniform(4));
+    for (int k = 0; k < edits; ++k) {
+      const size_t pos = rng.Uniform(mangled.size());
+      switch (rng.Uniform(3)) {
+        case 0:
+          mangled[pos] = kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)];
+          break;
+        case 1:
+          mangled.erase(pos, 1 + rng.Uniform(16));
+          break;
+        default:
+          mangled.insert(pos, 1, kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
+      }
+      if (mangled.empty()) break;
+    }
+    check(mangled);
+  }
 }
 
 TEST(DecoderFuzz, MangledSystemLogsReadAlikeInReaderAndOpen) {

@@ -1,9 +1,11 @@
-// Span-tracing tests: deterministic sampling, the lock-free span rings
-// under concurrent writers, end-to-end pipeline traces through a real
-// database (including the cross-thread hop through the group-commit
-// queue), the exporters (spans.json round trip, Chrome/Perfetto JSON,
-// latency attribution), and the stall watchdog (fires on a stalled probe,
-// files a dossier, stays quiet on healthy progress).
+// Span-tracing tests: deterministic sampling, the lock-free trace rings
+// under concurrent span, event and black-box-mirror writers, end-to-end
+// pipeline traces through a real database (including the cross-thread hop
+// through the group-commit queue, and the forced background traces of a
+// default-configured database), the exporters (spans.json round trip,
+// Chrome/Perfetto JSON, latency attribution), and the stall watchdog
+// (fires on a stalled probe, files a dossier, stays quiet on healthy
+// progress).
 
 #include <algorithm>
 #include <map>
@@ -16,8 +18,11 @@
 
 #include "common/file_util.h"
 #include "common/json.h"
+#include "core/auditor.h"
 #include "core/database.h"
+#include "obs/flight_recorder.h"
 #include "obs/forensics.h"
+#include "obs/postmortem.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
@@ -36,16 +41,39 @@ TracerOptions AllOptions() {
 
 // -- Sampler ---------------------------------------------------------------
 
-TEST(TracerTest, DisabledTracerSamplesNothingAndRecordsNothing) {
-  Tracer tracer;  // Never Configured: the rate-0 fast path.
-  EXPECT_FALSE(tracer.enabled());
-  uint64_t root = 0;
-  SpanContext ctx = tracer.MaybeStartTrace(&root);
-  EXPECT_FALSE(ctx.sampled());
-  SpanContext forced = tracer.StartForcedTrace(&root);
-  EXPECT_FALSE(forced.sampled());
+TEST(TracerTest, RateZeroSamplesNoTransactionButRecordsForcedAndEvents) {
+  Tracer tracer;  // Never Configured: rate 0.
+  EXPECT_FALSE(tracer.sampling());
   EXPECT_TRUE(tracer.Snapshot().empty());
+  uint64_t root = 0;
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_FALSE(tracer.MaybeStartTrace(&root).sampled());
+  }
   EXPECT_EQ(tracer.recorded(), 0u);
+
+  SpanContext forced = tracer.StartForcedTrace(&root);
+  ASSERT_TRUE(forced.sampled());
+  tracer.Record(forced, SpanKind::kCheckpointCopy, 100, 200);
+  tracer.RecordWithId(forced.Under(0), root, SpanKind::kCheckpoint, 100, 300);
+  tracer.Event(SpanKind::kCheckpointEnd, 42, 7);
+  EXPECT_EQ(tracer.recorded(), 3u);
+
+  std::vector<SpanRecord> snap = tracer.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  const SpanRecord* ckpt = nullptr;
+  const SpanRecord* event = nullptr;
+  for (const SpanRecord& s : snap) {
+    if (s.kind == SpanKind::kCheckpoint) ckpt = &s;
+    if (s.kind == SpanKind::kCheckpointEnd) event = &s;
+  }
+  ASSERT_NE(ckpt, nullptr);
+  EXPECT_EQ(ckpt->span_id, root);
+  EXPECT_EQ(ckpt->parent_id, 0u);
+  EXPECT_EQ(ckpt->dur_ns, 200u);
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(event->trace_id, 0u);
+  EXPECT_EQ(event->lsn, 42u);
+  ASSERT_EQ(tracer.RecentEvents(16).size(), 1u);
 }
 
 TEST(TracerTest, SamplingIsDeterministicForAFixedSeed) {
@@ -131,6 +159,75 @@ TEST(TracerTest, ConcurrentWritersProduceOnlyConsistentSpans) {
   std::set<uint64_t> ids;
   for (const SpanRecord& s : snap) {
     EXPECT_TRUE(ids.insert(s.span_id).second) << s.span_id;
+  }
+}
+
+TEST(TracerTest, ConcurrentSpansEventsSnapshotsAndBlackBoxMirror) {
+  TempDir dir;
+  FlightRecorderInfo info;
+  info.scheme = "test";
+  auto box = FlightRecorder::Create(dir.path() + "/blackbox.bin", info);
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  Tracer tracer;
+  TracerOptions topts = AllOptions();
+  topts.ring_capacity = 256;  // Force wrap under load.
+  tracer.Configure(topts);
+  tracer.set_flight_recorder(box->get());
+
+  constexpr int kPerThread = 3000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {  // Span writers.
+    threads.emplace_back([&tracer] {
+      uint64_t root = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        SpanContext ctx = tracer.MaybeStartTrace(&root);
+        tracer.Record(ctx, SpanKind::kWalStage, 100, 200);
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {  // Event writers (mirrored into the box).
+    threads.emplace_back([&tracer] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        tracer.Event(SpanKind::kRepair, i, i, i);
+      }
+    });
+  }
+  // Concurrent reader: every record it sees is internally consistent.
+  for (int i = 0; i < 20; ++i) {
+    for (const SpanRecord& s : tracer.Snapshot()) {
+      if (s.kind == SpanKind::kRepair) {
+        EXPECT_EQ(s.trace_id, 0u);
+        EXPECT_EQ(s.dur_ns, 0u);
+        EXPECT_EQ(s.lsn, s.a);
+        EXPECT_EQ(s.a, s.b);
+      } else {
+        EXPECT_EQ(s.kind, SpanKind::kWalStage);
+        EXPECT_NE(s.trace_id, 0u);
+        EXPECT_EQ(s.dur_ns, 100u);
+      }
+    }
+    for (const TraceEvent& e : tracer.RecentEvents(64)) {
+      EXPECT_EQ(e.kind, SpanKind::kRepair);
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  tracer.set_flight_recorder(nullptr);
+  EXPECT_EQ(tracer.recorded(), 4u * kPerThread);
+
+  // The mirror numbers events by its own dense ordinal (below the
+  // 2 * kPerThread it mirrored, one per slot), and every slot that decodes
+  // carries the payload one writer stored.
+  Result<BlackBoxReport> report = ReadBlackBox(dir.path() + "/blackbox.bin");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->events.empty());
+  EXPECT_LE(report->events.size(), blackbox::kTraceSlots);
+  std::set<uint64_t> seqs;
+  for (const TraceEvent& e : report->events) {
+    EXPECT_EQ(e.kind, SpanKind::kRepair);
+    EXPECT_EQ(e.lsn, e.a);
+    EXPECT_EQ(e.a, e.b);
+    EXPECT_LT(e.seq, 2u * kPerThread);
+    EXPECT_TRUE(seqs.insert(e.seq).second) << e.seq;
   }
 }
 
@@ -238,26 +335,79 @@ TEST(SpanPipelineTest, AbortedTransactionRootIsMarked) {
 }
 
 TEST(SpanPipelineTest, CheckpointAndRecoveryAreForceTraced) {
-  TempDir dir;
-  auto db = Database::Open(TracedOptions(dir.path()));
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ASSERT_OK((*db)->Checkpoint());
-  std::vector<SpanRecord> spans = (*db)->metrics()->tracer()->Snapshot();
-  const SpanRecord* ckpt = FindKind(spans, SpanKind::kCheckpoint);
-  ASSERT_NE(ckpt, nullptr);
-  EXPECT_EQ(ckpt->parent_id, 0u);
-  std::vector<SpanRecord> mine = ByTrace(spans)[ckpt->trace_id];
-  EXPECT_NE(FindKind(mine, SpanKind::kCheckpointCopy), nullptr);
-  EXPECT_NE(FindKind(mine, SpanKind::kCheckpointWrite), nullptr);
-  EXPECT_NE(FindKind(mine, SpanKind::kCheckpointFsync), nullptr);
+  // Forced roots record whatever the sample rate: the default options
+  // (rate 0) trace checkpoints and recovery exactly like rate 1.
+  for (double rate : {0.0, 1.0}) {
+    SCOPED_TRACE(rate);
+    TempDir dir;
+    DatabaseOptions opts =
+        SmallDbOptions(dir.path(), ProtectionScheme::kDataCodeword);
+    opts.trace_sample_rate = rate;
+    auto db = Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_OK((*db)->Checkpoint());
+    std::vector<SpanRecord> spans = (*db)->metrics()->tracer()->Snapshot();
+    // The newest checkpoint root (Open took checkpoint zero before it).
+    const SpanRecord* ckpt = nullptr;
+    for (const SpanRecord& s : spans) {
+      if (s.kind == SpanKind::kCheckpoint) ckpt = &s;
+    }
+    ASSERT_NE(ckpt, nullptr);
+    EXPECT_EQ(ckpt->parent_id, 0u);
+    std::vector<SpanRecord> mine = ByTrace(spans)[ckpt->trace_id];
+    EXPECT_NE(FindKind(mine, SpanKind::kCheckpointCopy), nullptr);
+    EXPECT_NE(FindKind(mine, SpanKind::kCheckpointWrite), nullptr);
+    EXPECT_NE(FindKind(mine, SpanKind::kCheckpointFsync), nullptr);
+    EXPECT_NE(FindKind(mine, SpanKind::kCheckpointCertify), nullptr);
 
-  ASSERT_OK((*db)->CrashAndRecover());
-  spans = (*db)->metrics()->tracer()->Snapshot();
-  const SpanRecord* rec = FindKind(spans, SpanKind::kRecovery);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->parent_id, 0u);
-  EXPECT_NE(FindKind(ByTrace(spans)[rec->trace_id], SpanKind::kRecoveryPhase),
+    ASSERT_OK((*db)->CrashAndRecover());
+    spans = (*db)->metrics()->tracer()->Snapshot();
+    const SpanRecord* rec = FindKind(spans, SpanKind::kRecovery);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->parent_id, 0u);
+    size_t phases = 0;
+    const std::vector<SpanRecord> rec_spans = ByTrace(spans)[rec->trace_id];
+    for (const SpanRecord& s : rec_spans) {
+      if (s.kind == SpanKind::kRecoveryPhase) ++phases;
+    }
+    EXPECT_EQ(phases, 4u) << "load, redo, undo and final checkpoint";
+
+    // The same ring feeds metrics.json's events.
+    Result<std::string> json = (*db)->DumpMetrics();
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    EXPECT_NE(json->find("\"type\": \"checkpoint\""), std::string::npos);
+    EXPECT_NE(json->find("\"type\": \"recovery_phase\""),
+              std::string::npos);
+  }
+}
+
+TEST(SpanPipelineTest, DefaultOptionsTraceAuditSweeps) {
+  TempDir dir;
+  auto db = Database::Open(
+      SmallDbOptions(dir.path(), ProtectionScheme::kDataCodeword));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  BackgroundAuditor::Options aopts;
+  aopts.interval = std::chrono::milliseconds(1);
+  aopts.slice_bytes = 256 << 10;
+  BackgroundAuditor auditor(db->get(), aopts, nullptr);
+  auditor.Start();
+  auditor.WaitForFullSweep();
+  auditor.Stop();
+
+  std::vector<SpanRecord> spans = (*db)->metrics()->tracer()->Snapshot();
+  const SpanRecord* sweep = FindKind(spans, SpanKind::kAuditSweep);
+  ASSERT_NE(sweep, nullptr);
+  EXPECT_EQ(sweep->parent_id, 0u);
+  EXPECT_NE(FindKind(ByTrace(spans)[sweep->trace_id], SpanKind::kAuditSlice),
             nullptr);
+  bool begin = false, end = false;
+  for (const TraceEvent& e :
+       (*db)->metrics()->tracer()->RecentEvents(MetricsSnapshot::kMaxEvents)) {
+    begin |= e.kind == SpanKind::kAuditPassBegin;
+    end |= e.kind == SpanKind::kAuditPassEnd;
+  }
+  EXPECT_TRUE(begin);
+  EXPECT_TRUE(end);
 }
 
 // -- Exporters -------------------------------------------------------------
@@ -272,6 +422,28 @@ TEST(SpanExportTest, EmptyDumpsAreValidDocuments) {
   Result<SpanDump> round = ParseSpansJson(SpansToJson(empty));
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   EXPECT_TRUE(round->spans.empty());
+}
+
+TEST(SpanExportTest, InstantRecordsRoundTripLsnAndShard) {
+  Tracer tracer;
+  tracer.Event(SpanKind::kCorruptionDetected, 77, 4096, 64, /*shard=*/3);
+  tracer.Event(SpanKind::kGroupCommitFlush, 90, 512);
+  SpanDump dump;
+  dump.spans = tracer.Snapshot();
+  Result<SpanDump> round = ParseSpansJson(SpansToJson(dump));
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  ASSERT_EQ(round->spans.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(round->spans[i].kind, dump.spans[i].kind);
+    EXPECT_EQ(round->spans[i].span_id, dump.spans[i].span_id);
+    EXPECT_EQ(round->spans[i].lsn, dump.spans[i].lsn);
+    EXPECT_EQ(round->spans[i].shard, dump.spans[i].shard);
+    EXPECT_EQ(round->spans[i].a, dump.spans[i].a);
+  }
+  EXPECT_EQ(round->spans[0].shard, 3u);
+  EXPECT_EQ(round->spans[1].shard, kNoTraceShard);
+  // Events are not transaction traces: attribution ignores them.
+  EXPECT_EQ(ComputeAttribution(round->spans).traces, 0u);
 }
 
 TEST(SpanExportTest, SpansJsonRoundTripsAndChromeJsonParses) {
@@ -300,10 +472,15 @@ TEST(SpanExportTest, SpansJsonRoundTripsAndChromeJsonParses) {
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_EQ(events->array().size(), dump->spans.size());
+  size_t instants = 0;
   for (const JsonValue& ev : events->array()) {
-    EXPECT_EQ(ev.Str("ph"), "X");
-    EXPECT_FALSE(ev.Str("name").empty());
+    SpanKind kind;
+    ASSERT_TRUE(SpanKindFromName(ev.Str("name"), &kind)) << ev.Str("name");
+    EXPECT_EQ(ev.Str("ph"), IsEventKind(kind) ? "i" : "X");
+    if (IsEventKind(kind)) ++instants;
   }
+  // The commits' group-commit flushes ride along as instant events.
+  EXPECT_GT(instants, 0u);
 }
 
 TEST(SpanExportTest, AttributionSharesCoverTheCommitTime) {

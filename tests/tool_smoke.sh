@@ -98,6 +98,12 @@ if [ -n "$FORENSICS" ]; then
   "$CTL" explain-recovery "$DIR/fdb" | grep -q "tainted by txn"
   "$CTL" explain-recovery "$DIR/fdb" --dot \
     | grep -q "digraph recovery_provenance"
+  # It never set a sample rate, yet its recovery is traced: the forced
+  # roots export as Perfetto JSON and list their phases, while the
+  # attribution over sampled transactions stays empty.
+  "$CTL" trace-export "$DIR/fdb" | python3 -m json.tool > /dev/null
+  "$CTL" spans "$DIR/fdb" | grep -q "recovery.phase"
+  "$CTL" spans "$DIR/fdb" --attribute | grep -q "traces=0"
 fi
 
 # Unknown command fails with usage.

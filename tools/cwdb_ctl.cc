@@ -20,13 +20,13 @@
 //                                        --per-shard renders the sharded
 //                                        counter families as a table
 //                                        (one row per engine shard)
-//   cwdb_ctl trace <dir>                 decode the flight-recorder events
-//                                        of the persisted metrics snapshot
+//   cwdb_ctl trace <dir>                 decode the trace events of the
+//                                        persisted metrics snapshot
 //   cwdb_ctl trace-export <dir>          emit the persisted span dump as
 //                                        Chrome/Perfetto trace-event JSON
 //                                        (load at https://ui.perfetto.dev);
-//                                        a database that never traced
-//                                        yields the valid empty document
+//                                        a directory without a dump yields
+//                                        the valid empty document
 //   cwdb_ctl spans <dir> [--attribute]   list the persisted spans grouped
 //                                        by trace; --attribute renders the
 //                                        per-stage latency shares of the
@@ -88,7 +88,7 @@
 #include "obs/forensics.h"
 #include "obs/history.h"
 #include "obs/postmortem.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "obs/trace_export.h"
 #include "protect/parity_repair.h"
 #include "recovery/corrupt_note.h"
@@ -532,7 +532,7 @@ int CmdTrace(const std::string& dir) {
     }
     std::string type_name = ev.Str("type");
     std::string detail;
-    if (TraceEventTypeFromName(type_name, &e.type)) {
+    if (SpanKindFromName(type_name, &e.kind) && IsEventKind(e.kind)) {
       detail = DescribeTraceEvent(e);
     } else {
       char buf[64];
@@ -560,9 +560,9 @@ int CmdTrace(const std::string& dir) {
   return 0;
 }
 
-/// Loads <dir>/spans.json. A directory that never traced (file absent) is
-/// not an error: every consumer of the dump renders a valid empty document
-/// from the default SpanDump.
+/// Loads <dir>/spans.json. A directory without a dump (never closed or
+/// flushed) is not an error: every consumer of the dump renders a valid
+/// empty document from the default SpanDump.
 Result<SpanDump> LoadSpanDump(const std::string& dir) {
   DbFiles files(dir);
   std::string json;
